@@ -1121,9 +1121,11 @@ fn decode_device(r: &mut Reader<'_>, dev: &mut DeviceState) -> DecodeResult<()> 
 const NO_BASE: u32 = u32::MAX;
 
 /// How many sealed cold extents a spilling arena keeps faulted-in at
-/// once (most recently used first). Traces, quarantine dumps, and stale
-/// dedup probes touch old ids rarely and with locality; expansion never
-/// does — a handful of pinned extents absorbs the traffic.
+/// once (most recently used first) for random access. Traces,
+/// quarantine dumps, and stale dedup probes touch old ids rarely and
+/// with locality; expansion never does — a handful of pinned extents
+/// absorbs the traffic. Whole-store passes (checkpoints, shard merges)
+/// bypass this cache through an [`EntryCursor`].
 const EXTENT_CACHE_CAP: usize = 4;
 
 /// Magic prefix of a spill extent file.
@@ -1196,8 +1198,16 @@ struct ArenaScratch {
 /// - **Cold-extent spill** ([`Self::enable_spill`]): a cold prefix of
 ///   entries can be sealed into an immutable, checksummed extent file
 ///   (write-then-rename, like the checkpoint writer) and dropped from
-///   RAM; decodes of sealed ids fault the extent back in through a small
+///   RAM; random-access decodes of sealed ids (traces, quarantine dumps,
+///   stale dedup probes) fault the extent back in through a small
 ///   pinned-extent cache.
+///
+/// Whole-store materialization — checkpoints, shard merges, end-of-run
+/// passes — goes through [`Self::append_all_full_bytes`] (or an
+/// [`EntryCursor`] driven in id order) instead: one sequential pass
+/// that reads each sealed extent once and decodes each delta entry once
+/// against its base's already-materialized bytes, rather than replaying
+/// every chain from its keyframe through the pinned-extent cache.
 pub struct StateArena {
     codec: StateCodec,
     /// Resident payload: logical bytes `spilled()..`.
@@ -1339,18 +1349,6 @@ impl StateArena {
             + cache
     }
 
-    /// An empty arena with room for `states` states totalling `bytes`
-    /// packed bytes — bulk-copy paths (the sharded driver's final
-    /// merge) size the allocation exactly instead of growing through
-    /// doubling.
-    #[must_use]
-    pub fn with_capacity(codec: StateCodec, states: usize, bytes: usize) -> Self {
-        let mut arena = StateArena::new(codec);
-        arena.bytes = Vec::with_capacity(bytes);
-        arena.offsets = Vec::with_capacity(states);
-        arena
-    }
-
     /// Arm parent-delta storage with a full-snapshot keyframe at least
     /// every `keyframe_every` chain entries (0 disables; new pushes then
     /// store full encodings). Entries already stored stay as they are —
@@ -1475,8 +1473,9 @@ impl StateArena {
         self.spill.as_ref().map_or(0, |s| s.extents.len() as u64)
     }
 
-    /// Extent fault-ins served so far (cache misses, not total cold
-    /// accesses).
+    /// Sealed-extent reads from disk so far: random-access cache misses
+    /// (not total cold accesses) plus one per extent per whole-store
+    /// pass.
     #[must_use]
     pub fn faulted_extents(&self) -> u64 {
         self.scratch.borrow().faults
@@ -1722,9 +1721,10 @@ impl StateArena {
 
     /// Append the **full encoding** of state `id` to `out`, whatever its
     /// storage form — byte-identical to what was originally pushed. The
-    /// delta/spill-safe replacement for [`Self::bytes_of`] on paths that
-    /// may touch compressed or cold entries (checkpointing, quarantine
-    /// records, the pool's chunk protocol, shard merges).
+    /// delta/spill-safe replacement for [`Self::bytes_of`] on
+    /// random-access paths that may touch compressed or cold entries
+    /// (quarantine records, the pool's chunk protocol, traces). Passes
+    /// over the whole store use [`Self::append_all_full_bytes`].
     ///
     /// # Panics
     /// Panics if `id` is out of range or a spilled extent is unreadable.
@@ -1766,18 +1766,65 @@ impl StateArena {
         self.materialize_entry(&mut scratch, id) == full
     }
 
-    /// Append the full encoding of `other`'s entry `slot` to this arena
-    /// (stored full) — the shard-merge primitive.
-    pub fn push_full_from(&mut self, other: &StateArena, slot: usize) -> usize {
-        if other.is_full_entry(slot) && other.is_resident(slot) {
-            return self.push_encoded(other.stored(slot));
+    /// A forward-only [`EntryCursor`] over this arena's entries.
+    #[must_use]
+    pub fn cursor(&self) -> EntryCursor<'_> {
+        EntryCursor { arena: self, extent: usize::MAX, payload: Vec::new(), delta: Vec::new() }
+    }
+
+    /// Append **every** entry's full encoding to `out`, in id order,
+    /// pushing each entry's end offset in `out` onto `ends` — the
+    /// one-pass equivalent of calling [`Self::append_full_bytes`] for
+    /// each id, byte for byte. Each sealed extent is read once (counted
+    /// in [`Self::faulted_extents`]) and each delta entry is decoded once
+    /// against its base's bytes already in `out`, so the pass costs one
+    /// sequential read of the store whatever its chain layout. Both
+    /// buffers grow by exactly what the pass appends, once, up front.
+    ///
+    /// # Panics
+    /// Panics if a spilled extent is unreadable.
+    pub fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>) {
+        out.reserve_exact(self.full_payload_bytes);
+        ends.reserve_exact(self.len());
+        let (start, first) = (out.len(), ends.len());
+        let mut cursor = self.cursor();
+        for id in 0..self.len() {
+            cursor.append_full(id, out, |base| {
+                let lo = if base == 0 { start } else { ends[first + base - 1] };
+                lo..ends[first + base]
+            });
+            ends.push(out.len());
         }
-        let mut tmp = std::mem::take(&mut self.scratch.get_mut().cold);
-        tmp.clear();
-        other.append_full_bytes(slot, &mut tmp);
-        let id = self.push_encoded(&tmp);
-        self.scratch.get_mut().cold = tmp;
-        id
+    }
+
+    /// A plain arena over `payload` — full encodings laid end to end,
+    /// entry `i` ending at `ends[i]` — as produced by
+    /// [`Self::append_all_full_bytes`] into empty buffers. Takes both
+    /// buffers over without copying; the offset table is `ends` shifted
+    /// in place. Unlike [`Self::from_parts`] the entries are not
+    /// re-decoded: the bytes must be this codec's own output (the
+    /// shard-merge path), not untrusted input.
+    ///
+    /// # Panics
+    /// Panics if `ends` is not strictly increasing or does not finish
+    /// exactly at the end of `payload`.
+    #[must_use]
+    pub fn from_full_bytes(codec: StateCodec, payload: Vec<u8>, mut ends: Vec<usize>) -> Self {
+        assert!(
+            ends.last().copied().unwrap_or(0) == payload.len()
+                && ends.first().is_none_or(|&e| e > 0)
+                && ends.windows(2).all(|w| w[0] < w[1]),
+            "entry ends must partition the payload"
+        );
+        if let Some(last) = ends.len().checked_sub(1) {
+            ends.copy_within(..last, 1);
+            ends[0] = 0;
+        }
+        let mut arena = StateArena::new(codec);
+        arena.full_payload_bytes = payload.len();
+        arena.bytes = payload;
+        arena.offsets = ends;
+        arena
     }
 
     /// Decode state `id` into a fresh value.
@@ -1816,7 +1863,7 @@ impl StateArena {
     /// spill) this is every state's full encoding concatenated in
     /// discovery order — together with [`Self::offsets`] the arena's
     /// full serializable content. Compressed or spilling arenas
-    /// serialize through [`Self::append_full_bytes`] instead.
+    /// serialize through [`Self::append_all_full_bytes`] instead.
     #[must_use]
     pub fn payload(&self) -> &[u8] {
         &self.bytes
@@ -1912,6 +1959,72 @@ impl StateArena {
             spill.spilled_entries = 0;
         }
         *self.scratch.get_mut() = ArenaScratch::default();
+    }
+}
+
+/// A forward-only reader of one [`StateArena`]'s entries, the engine of
+/// the one-pass materializers ([`StateArena::append_all_full_bytes`] and
+/// multi-arena merges that interleave several cursors). It holds at most
+/// one sealed extent, read whole when the walk first enters it, so
+/// visiting ids in increasing order reads every extent exactly once —
+/// the random-access pinned-extent cache is not involved. Delta entries
+/// are decoded against their base's full bytes, which the caller has
+/// already materialized.
+pub struct EntryCursor<'a> {
+    arena: &'a StateArena,
+    /// Index of the sealed extent held in `payload` (`usize::MAX` =
+    /// none yet).
+    extent: usize,
+    payload: Vec<u8>,
+    /// Scratch for one decoded delta entry.
+    delta: Vec<u8>,
+}
+
+impl EntryCursor<'_> {
+    /// Append entry `id`'s full encoding to `out`, byte-identical to
+    /// [`StateArena::append_full_bytes`]. When the entry is a delta,
+    /// `base_range` is called with its base id (always below `id`) and
+    /// must return where in `out` that base's full encoding sits — so
+    /// walking ids in increasing order always has it in hand.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range or its extent is unreadable.
+    pub fn append_full(
+        &mut self,
+        id: usize,
+        out: &mut Vec<u8>,
+        base_range: impl FnOnce(usize) -> std::ops::Range<usize>,
+    ) {
+        let arena = self.arena;
+        let stored: &[u8] = if arena.is_resident(id) {
+            arena.stored(id)
+        } else {
+            let extents =
+                &arena.spill.as_ref().expect("non-resident entry without spill state").extents;
+            let held = extents.get(self.extent);
+            if !held.is_some_and(|ext| ext.start_entry <= id && id < ext.end_entry) {
+                self.extent = extents.partition_point(|ext| ext.end_entry <= id);
+                let ext = &extents[self.extent];
+                self.payload = read_extent(ext).unwrap_or_else(|err| {
+                    panic!("spill extent {} unreadable: {err}", ext.path.display())
+                });
+                arena.scratch.borrow_mut().faults += 1;
+            }
+            let start_byte = extents[self.extent].start_byte;
+            &self.payload[arena.offsets[id] - start_byte..arena.entry_end(id) - start_byte]
+        };
+        if arena.is_full_entry(id) {
+            out.extend_from_slice(stored);
+            return;
+        }
+        let base = arena.bases[id] as usize;
+        debug_assert!(base < id, "delta base {base} does not precede entry {id}");
+        self.delta.clear();
+        arena
+            .codec
+            .decode_delta(&out[base_range(base)], stored, &mut self.delta)
+            .expect("arena holds only codec output");
+        out.extend_from_slice(&self.delta);
     }
 }
 
@@ -2561,21 +2674,82 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The one-pass materializer reproduces per-id materialization byte
+    /// for byte on a K=16 delta arena spilled at every BFS level — whose
+    /// chains therefore cross more extents than the pinned-extent cache
+    /// holds — while reading each sealed extent at most once.
     #[test]
-    fn push_full_from_materializes_across_arenas() {
-        let (codec, states) = walk_encoded(2, 80);
-        let mut src = StateArena::new(codec);
-        src.enable_delta(4);
-        for (parent, enc) in &states {
+    fn one_pass_materialization_matches_per_id_and_reads_each_extent_once() {
+        let (codec, states) = walk_encoded(3, 2_000);
+        let mut depth = vec![0usize; states.len()];
+        let mut arena = StateArena::new(codec);
+        arena.enable_delta(16);
+        let dir = scratch_spill_dir("onepass");
+        arena.enable_spill(&dir, "shard0").unwrap();
+        for (id, (parent, enc)) in states.iter().enumerate() {
+            if id > 0 {
+                depth[id] = depth[*parent] + 1;
+                // A new BFS level: seal everything discovered so far.
+                if depth[id] != depth[id - 1] {
+                    arena.spill_cold(id).unwrap();
+                }
+            }
             let base = (*parent != usize::MAX).then_some(*parent as u32);
-            src.push_encoded_delta(enc, base);
+            arena.push_encoded_delta(enc, base);
         }
-        let mut dst = StateArena::new(codec);
-        for id in 0..src.len() {
-            dst.push_full_from(&src, id);
+        let extent_of = |id: usize| {
+            let extents = &arena.spill.as_ref().unwrap().extents;
+            extents.iter().position(|e| e.start_entry <= id && id < e.end_entry)
+        };
+        let widest_chain = (0..arena.len())
+            .map(|id| {
+                let mut seen = std::collections::BTreeSet::new();
+                let mut cur = id;
+                seen.insert(extent_of(cur));
+                while !arena.is_full_entry(cur) {
+                    cur = arena.bases[cur] as usize;
+                    seen.insert(extent_of(cur));
+                }
+                seen.len()
+            })
+            .max()
+            .unwrap();
+        assert!(
+            widest_chain > EXTENT_CACHE_CAP,
+            "some chain must span more extents ({widest_chain}) than the cache holds"
+        );
+
+        let (mut payload, mut ends) = (vec![0xAB], vec![]);
+        let before = arena.faulted_extents();
+        arena.append_all_full_bytes(&mut payload, &mut ends);
+        let faults = arena.faulted_extents() - before;
+        assert!(faults >= 1, "a spilled store must be read back");
+        assert!(
+            faults <= arena.spilled_extents(),
+            "one pass read {faults} extents of {} sealed",
+            arena.spilled_extents()
+        );
+
+        let mut per_id = vec![0xAB];
+        for (id, &end) in ends.iter().enumerate() {
+            arena.append_full_bytes(id, &mut per_id);
+            assert_eq!(end, per_id.len(), "end of entry {id}");
         }
+        assert_eq!(payload, per_id, "one-pass output must equal per-id output");
         for (id, (_, enc)) in states.iter().enumerate() {
-            assert_eq!(dst.bytes_of(id), &enc[..], "id={id}");
+            let lo = if id == 0 { 1 } else { ends[id - 1] };
+            assert_eq!(&payload[lo..ends[id]], &enc[..], "id={id}");
         }
+
+        // The materialized bytes round-trip into a plain arena equal to
+        // one built by pushing the full encodings.
+        let mut plain = StateArena::new(codec);
+        for (_, enc) in &states {
+            plain.push_encoded(enc);
+        }
+        let (mut payload, mut ends) = (Vec::new(), Vec::new());
+        arena.append_all_full_bytes(&mut payload, &mut ends);
+        assert_eq!(StateArena::from_full_bytes(codec, payload, ends), plain);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -114,7 +114,7 @@ pub mod state;
 pub use builder::StateBuilder;
 pub use cacheline::{DCache, DState, HCache, HState};
 pub use channel::Channel;
-pub use codec::{heap_state_bytes, CodecError, StateArena, StateCodec};
+pub use codec::{heap_state_bytes, CodecError, EntryCursor, StateArena, StateCodec};
 pub use config::{ProtocolConfig, Relaxation};
 pub use fasthash::{shard_of, FpIndex, FxBuildHasher, FxHasher};
 pub use ids::{DeviceId, Tid, Topology, Val};

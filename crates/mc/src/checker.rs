@@ -77,7 +77,9 @@ use crate::report::{
     Deadlock, DegradationAction, DegradationStep, Quarantine, ReductionSummary, Report, Step,
     Trace, Violation,
 };
-use cxl_core::{shard_of, FpIndex, RuleId, Ruleset, StateArena, StateCodec, SystemState};
+use cxl_core::{
+    shard_of, EntryCursor, FpIndex, RuleId, Ruleset, StateArena, StateCodec, SystemState,
+};
 use cxl_reduce::{Reducer, ReductionStats};
 use cxl_telemetry::{
     FlightEvent, FlightKind, FlightRing, LevelRecord, Phase, PhaseClock, PhaseNanos,
@@ -885,6 +887,7 @@ impl ModelChecker {
             options_fingerprint(&self.rules, describe.as_deref(), &init)
         });
         let mut last_checkpoint = Instant::now();
+        let mut ckpt_bufs = CheckpointBuffers::default();
         // Does the stop point land on a BFS level boundary (making the
         // final checkpoint exactly resumable)? True for the time/depth
         // watchdogs and natural completion; false for mid-level stops.
@@ -1013,6 +1016,7 @@ impl ModelChecker {
                         write_checkpoint(
                             &self.rules,
                             &policy.dir,
+                            &mut ckpt_bufs,
                             fp,
                             true,
                             depth,
@@ -1067,6 +1071,7 @@ impl ModelChecker {
                     write_checkpoint(
                         &self.rules,
                         &policy.dir,
+                        &mut ckpt_bufs,
                         fp,
                         true,
                         depth,
@@ -1625,6 +1630,7 @@ impl ModelChecker {
             write_checkpoint(
                 &self.rules,
                 &policy.dir,
+                &mut ckpt_bufs,
                 fp,
                 stopped_at_boundary,
                 depth,
@@ -1672,14 +1678,7 @@ impl ModelChecker {
             // engine alone* (data-symmetry and POR savings only show
             // against a measured unreduced run).
             let stats = r.stats();
-            let mut full = Vec::new();
-            let orbit_states = (0..arena.len())
-                .map(|id| {
-                    full.clear();
-                    arena.append_full_bytes(id, &mut full);
-                    r.orbit_size(&full)
-                })
-                .sum();
+            let orbit_states = orbit_states(&arena, r);
             report.reduction = Some(ReductionSummary {
                 description: r.describe(),
                 group_order: stats.group_order,
@@ -1902,6 +1901,7 @@ impl ModelChecker {
             options_fingerprint(&self.rules, describe.as_deref(), &init)
         });
         let mut last_checkpoint = Instant::now();
+        let mut ckpt_bufs = CheckpointBuffers::default();
         let mut stopped_at_boundary = false;
         let mut shed_done = false;
         let mut emergency_done = false;
@@ -2000,11 +2000,12 @@ impl ModelChecker {
                         write_checkpoint(
                             &self.rules,
                             &policy.dir,
+                            &mut ckpt_bufs,
                             fp,
                             true,
                             depth,
                             elapsed_offset + start_time.elapsed(),
-                            &store.merged(),
+                            &store,
                             &parents,
                             &succ_counts,
                             &frontier,
@@ -2048,11 +2049,12 @@ impl ModelChecker {
                     write_checkpoint(
                         &self.rules,
                         &policy.dir,
+                        &mut ckpt_bufs,
                         fp,
                         true,
                         depth,
                         elapsed_offset + start_time.elapsed(),
-                        &store.merged(),
+                        &store,
                         &parents,
                         &succ_counts,
                         &frontier,
@@ -2922,11 +2924,12 @@ impl ModelChecker {
             write_checkpoint(
                 &self.rules,
                 &policy.dir,
+                &mut ckpt_bufs,
                 fp,
                 stopped_at_boundary,
                 depth,
                 elapsed_offset + start_time.elapsed(),
-                &store.merged(),
+                &store,
                 &parents,
                 &succ_counts,
                 &frontier,
@@ -2960,14 +2963,7 @@ impl ModelChecker {
         );
         if let Some(r) = reducer {
             let stats = r.stats();
-            let mut full = Vec::new();
-            let orbit_states = (0..store.len())
-                .map(|gid| {
-                    full.clear();
-                    store.append_full_bytes(gid, &mut full);
-                    r.orbit_size(&full)
-                })
-                .sum();
+            let orbit_states = orbit_states(&store, r);
             report.reduction = Some(ReductionSummary {
                 description: r.describe(),
                 group_order: stats.group_order,
@@ -2986,8 +2982,8 @@ impl ModelChecker {
         report.routed_messages = routed_messages;
         report.shard_imbalance_pct = store.imbalance_pct();
         // Count store compression/spill activity before `merged()` below
-        // materializes every state (which faults all extents back in) —
-        // these are run-time figures, not merge-time ones.
+        // reads every sealed extent once more — these are run-time
+        // figures, not merge-time ones.
         for shard in store.shards.iter().flatten() {
             report.delta_entries += shard.segment.delta_entries() as u64;
             report.spilled_extents += shard.segment.spilled_extents();
@@ -3526,6 +3522,11 @@ trait StateStore {
     /// from its delta chain / spilled extent when the store compresses,
     /// byte-identical to what was originally stored.
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>);
+    /// Append every state's full encoding to `out` in global id order,
+    /// pushing each one's end offset in `out` onto `ends` — one
+    /// sequential pass over the store (each sealed extent read once,
+    /// each delta decoded once), for checkpoints and end-of-run passes.
+    fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>);
     fn decode(&self, id: usize) -> SystemState;
     fn decode_into(&self, id: usize, out: &mut SystemState);
 }
@@ -3533,6 +3534,9 @@ trait StateStore {
 impl StateStore for StateArena {
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         StateArena::append_full_bytes(self, id, out);
+    }
+    fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>) {
+        StateArena::append_all_full_bytes(self, out, ends);
     }
     fn decode(&self, id: usize) -> SystemState {
         StateArena::decode(self, id)
@@ -3664,16 +3668,14 @@ impl ShardedStore {
         }
     }
 
-    /// Merge the shard segments into one arena in global discovery
-    /// order — the sequential driver's exact byte layout, so checkpoints
-    /// and the returned [`Exploration`] are shard-count-free.
+    /// Merge the shard segments into one plain arena in global
+    /// discovery order — the sequential driver's exact byte layout, so
+    /// the returned [`Exploration`] is shard-count-free. Built from one
+    /// [`StateStore::append_all_full_bytes`] pass.
     fn merged(&self) -> StateArena {
-        let bytes = self.shards.iter().flatten().map(|s| s.segment.byte_len()).sum();
-        let mut arena = StateArena::with_capacity(self.codec, self.dir.len(), bytes);
-        for &(s, slot) in &self.dir {
-            arena.push_full_from(&self.shard(s as usize).segment, slot as usize);
-        }
-        arena
+        let (mut payload, mut ends) = (Vec::new(), Vec::new());
+        self.append_all_full_bytes(&mut payload, &mut ends);
+        StateArena::from_full_bytes(self.codec, payload, ends)
     }
 }
 
@@ -3681,6 +3683,38 @@ impl StateStore for ShardedStore {
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
         let (s, slot) = self.dir[id];
         self.shard(s as usize).segment.append_full_bytes(slot as usize, out);
+    }
+    /// Walks `dir` in global order with one [`EntryCursor`] per shard
+    /// (shards fill in global order, so each cursor moves forward and
+    /// reads each of its extents once). A delta's base is a slot of the
+    /// same shard; a per-shard slot→gid table — kept only for shards
+    /// holding deltas — locates its bytes in `out`, so no per-shard copy
+    /// of the payload is made.
+    fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>) {
+        let segments: Vec<&StateArena> =
+            (0..self.shards.len()).map(|s| &self.shard(s).segment).collect();
+        out.reserve_exact(segments.iter().map(|seg| seg.full_payload_bytes()).sum());
+        ends.reserve_exact(self.dir.len());
+        let (start, first) = (out.len(), ends.len());
+        let mut cursors: Vec<EntryCursor<'_>> = segments.iter().map(|seg| seg.cursor()).collect();
+        let mut slot_gid: Vec<Vec<u32>> = segments
+            .iter()
+            .map(|seg| if seg.delta_entries() > 0 { vec![u32::MAX; seg.len()] } else { Vec::new() })
+            .collect();
+        for (gid, &(s, slot)) in self.dir.iter().enumerate() {
+            let (s, slot) = (s as usize, slot as usize);
+            let gids = &mut slot_gid[s];
+            if !gids.is_empty() {
+                gids[slot] = u32::try_from(gid).expect("global ids fit the directory's u32 slots");
+            }
+            cursors[s].append_full(slot, out, |base| {
+                let g = gids[base] as usize;
+                debug_assert!(g < gid, "delta base slot {base} not yet materialized");
+                let lo = if g == 0 { start } else { ends[first + g - 1] };
+                lo..ends[first + g]
+            });
+            ends.push(out.len());
+        }
     }
     fn decode(&self, id: usize) -> SystemState {
         let (s, slot) = self.dir[id];
@@ -3906,19 +3940,48 @@ fn sharded_spill_counts(store: &ShardedStore) -> (u64, u64) {
     (sealed, faulted)
 }
 
+/// Σ orbit sizes over every stored representative — the exact store
+/// size of the unreduced equivariant exploration under the
+/// device-symmetry engine alone — read through one
+/// [`StateStore::append_all_full_bytes`] pass.
+fn orbit_states(store: &impl StateStore, reducer: &dyn Reducer) -> u64 {
+    let (mut payload, mut ends) = (Vec::new(), Vec::new());
+    store.append_all_full_bytes(&mut payload, &mut ends);
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let full = &payload[start..end];
+            start = end;
+            reducer.orbit_size(full)
+        })
+        .sum()
+}
+
+/// The buffers a driver keeps across its checkpoint writes: the store
+/// materialized in full, its entry ends, and the encoded file. A
+/// checkpoint at every level would otherwise allocate, page in and free
+/// three store-sized buffers per level.
+#[derive(Default)]
+struct CheckpointBuffers {
+    payload: Vec<u8>,
+    ends: Vec<usize>,
+    file: Vec<u8>,
+}
+
 /// Serialize the search state and write it (atomically) to the policy
-/// directory. A failed write degrades to a stderr warning and the search
-/// continues — the resilience layer must not become a crash source
-/// itself.
+/// directory, reusing `bufs`. A failed write degrades to a stderr
+/// warning and the search continues — the resilience layer must not
+/// become a crash source itself.
 #[allow(clippy::too_many_arguments)]
 fn write_checkpoint(
     rules: &Ruleset,
     dir: &std::path::Path,
+    bufs: &mut CheckpointBuffers,
     fingerprint: u64,
     resumable: bool,
     depth: usize,
     elapsed: Duration,
-    arena: &StateArena,
+    store: &impl StateStore,
     parents: &[Option<(usize, RuleId)>],
     succ_counts: &[u32],
     frontier: &[usize],
@@ -3927,6 +3990,10 @@ fn write_checkpoint(
     reduction_stats: Option<ReductionStats>,
     flight: &[FlightEvent],
 ) {
+    let CheckpointBuffers { payload, ends, file } = bufs;
+    payload.clear();
+    ends.clear();
+    store.append_all_full_bytes(payload, ends);
     let source = CheckpointSource {
         fingerprint,
         resumable,
@@ -3937,7 +4004,8 @@ fn write_checkpoint(
         truncated: report.truncated,
         truncated_by_memory: report.truncated_by_memory,
         truncated_by_time: report.truncated_by_time,
-        arena,
+        payload,
+        ends,
         parents,
         succ_counts,
         frontier,
@@ -3949,7 +4017,7 @@ fn write_checkpoint(
         reduction_stats,
         flight,
     };
-    if let Err(e) = source.write_atomic(rules, dir) {
+    if let Err(e) = source.write_atomic(rules, dir, file) {
         eprintln!("warning: checkpoint write failed: {e}");
     }
 }

@@ -156,9 +156,8 @@ pub fn options_fingerprint(
     StateCodec::fingerprint(&buf)
 }
 
-/// A borrowed view of the checker's mid-run state, serialized without
-/// copying the arena — the write path. The owned mirror is
-/// [`Checkpoint`].
+/// A borrowed view of the checker's mid-run state — the write path. The
+/// owned mirror is [`Checkpoint`].
 pub(crate) struct CheckpointSource<'a> {
     pub fingerprint: u64,
     pub resumable: bool,
@@ -169,7 +168,14 @@ pub(crate) struct CheckpointSource<'a> {
     pub truncated: bool,
     pub truncated_by_memory: bool,
     pub truncated_by_time: bool,
-    pub arena: &'a StateArena,
+    /// Every stored state's *full* encoding in id order, state `i`
+    /// ending at `ends[i]` — the store materialized in one pass
+    /// (`StateArena::append_all_full_bytes` or the sharded merge), so a
+    /// delta-compressed or partially spilled store checkpoints as plain
+    /// full bytes and resume never needs the writer's extent files or
+    /// keyframe layout.
+    pub payload: &'a [u8],
+    pub ends: &'a [usize],
     pub parents: &'a [Option<(usize, RuleId)>],
     pub succ_counts: &'a [u32],
     pub frontier: &'a [usize],
@@ -183,14 +189,16 @@ pub(crate) struct CheckpointSource<'a> {
 }
 
 impl CheckpointSource<'_> {
-    /// Serialize to the versioned wire format, checksum included.
-    pub(crate) fn encode(&self, rules: &Ruleset) -> Vec<u8> {
-        let arena = self.arena;
-        let codec = arena.codec();
-        let n = arena.len();
-        let mut out = Vec::with_capacity(arena.byte_len() + n * 12 + 256);
+    /// Serialize to the versioned wire format, checksum included,
+    /// replacing `out`'s contents (its allocation is reused).
+    pub(crate) fn encode_into(&self, rules: &Ruleset, out: &mut Vec<u8>) {
+        let codec = StateCodec::new(rules.topology());
+        let (payload, ends) = (self.payload, self.ends);
+        let n = ends.len();
+        out.clear();
+        out.reserve(payload.len() + n * 12 + 256);
         out.extend_from_slice(MAGIC);
-        put_varint(&mut out, FORMAT_VERSION);
+        put_varint(out, FORMAT_VERSION);
         out.extend_from_slice(&self.fingerprint.to_le_bytes());
         let flags = u8::from(self.resumable)
             | u8::from(self.truncated) << 1
@@ -198,35 +206,24 @@ impl CheckpointSource<'_> {
             | u8::from(self.truncated_by_time) << 3;
         out.push(flags);
         out.push(rules.topology().device_count() as u8);
-        put_varint(&mut out, self.depth as u64);
-        put_varint(&mut out, u64::try_from(self.elapsed.as_nanos()).unwrap_or(u64::MAX));
-        put_varint(&mut out, self.transitions as u64);
-        put_varint(&mut out, self.terminal_states as u64);
+        put_varint(out, self.depth as u64);
+        put_varint(out, u64::try_from(self.elapsed.as_nanos()).unwrap_or(u64::MAX));
+        put_varint(out, self.transitions as u64);
+        put_varint(out, self.terminal_states as u64);
 
         // The packed store: payload, then per-state lengths (offset
         // deltas), then the dedup fingerprints — which are a pure
         // function of the payload but are stored anyway as an inner
-        // integrity layer the reader cross-checks. States are
-        // *materialized* to full encodings here: a delta-compressed or
-        // partially spilled arena checkpoints as plain full bytes, so
-        // resume never needs the writer's extent files or keyframe
-        // layout (and plain arenas serialize byte-identically to before
-        // delta/spill existed).
-        put_varint(&mut out, n as u64);
-        let mut payload = Vec::with_capacity(arena.byte_len());
-        let mut ends = Vec::with_capacity(n);
-        for id in 0..n {
-            arena.append_full_bytes(id, &mut payload);
-            ends.push(payload.len());
-        }
-        put_bytes(&mut out, &payload);
+        // integrity layer the reader cross-checks.
+        put_varint(out, n as u64);
+        put_bytes(out, payload);
         let mut at = 0usize;
-        for &end in &ends {
-            put_varint(&mut out, (end - at) as u64);
+        for &end in ends {
+            put_varint(out, (end - at) as u64);
             at = end;
         }
         at = 0;
-        for &end in &ends {
+        for &end in ends {
             out.extend_from_slice(
                 &StateCodec::fingerprint(&payload[at..end]).to_le_bytes(),
             );
@@ -237,23 +234,23 @@ impl CheckpointSource<'_> {
         // indices of the resuming rule set.
         for parent in self.parents {
             match parent {
-                None => put_varint(&mut out, 0),
+                None => put_varint(out, 0),
                 Some((id, rule)) => {
-                    put_varint(&mut out, *id as u64 + 1);
-                    put_varint(&mut out, rules.dense_index(*rule) as u64);
+                    put_varint(out, *id as u64 + 1);
+                    put_varint(out, rules.dense_index(*rule) as u64);
                 }
             }
         }
         for &c in self.succ_counts {
-            put_varint(&mut out, u64::from(c));
+            put_varint(out, u64::from(c));
         }
-        put_varint(&mut out, self.frontier.len() as u64);
+        put_varint(out, self.frontier.len() as u64);
         for &id in self.frontier {
-            put_varint(&mut out, id as u64);
+            put_varint(out, id as u64);
         }
-        put_varint(&mut out, self.firings.len() as u64);
+        put_varint(out, self.firings.len() as u64);
         for &c in self.firings {
-            put_varint(&mut out, c);
+            put_varint(out, c);
         }
 
         match self.reduction_stats {
@@ -263,11 +260,11 @@ impl CheckpointSource<'_> {
                 // engine name and group order are derived from config at
                 // resume time, so they are deliberately not serialized.
                 out.push(2);
-                put_varint(&mut out, stats.orbit_canonicalized);
-                put_varint(&mut out, stats.value_canonicalized);
-                put_varint(&mut out, stats.ample_local);
-                put_varint(&mut out, stats.ample_diamond);
-                put_varint(&mut out, stats.ample_host_drain);
+                put_varint(out, stats.orbit_canonicalized);
+                put_varint(out, stats.value_canonicalized);
+                put_varint(out, stats.ample_local);
+                put_varint(out, stats.ample_diamond);
+                put_varint(out, stats.ample_host_drain);
             }
         }
 
@@ -279,22 +276,22 @@ impl CheckpointSource<'_> {
                 put_bytes(out, &codec.encode(&step.state));
             }
         };
-        put_varint(&mut out, self.violations.len() as u64);
+        put_varint(out, self.violations.len() as u64);
         for v in self.violations {
-            put_bytes(&mut out, v.property.as_bytes());
-            put_bytes(&mut out, v.detail.as_bytes());
-            put_trace(&mut out, &v.trace);
+            put_bytes(out, v.property.as_bytes());
+            put_bytes(out, v.detail.as_bytes());
+            put_trace(out, &v.trace);
         }
-        put_varint(&mut out, self.deadlocks.len() as u64);
+        put_varint(out, self.deadlocks.len() as u64);
         for d in self.deadlocks {
-            put_trace(&mut out, &d.trace);
+            put_trace(out, &d.trace);
         }
-        put_varint(&mut out, self.quarantined.len() as u64);
+        put_varint(out, self.quarantined.len() as u64);
         for q in self.quarantined {
-            put_varint(&mut out, q.state as u64);
-            put_bytes(&mut out, q.message.as_bytes());
+            put_varint(out, q.state as u64);
+            put_bytes(out, q.message.as_bytes());
         }
-        put_varint(&mut out, self.sheds.len() as u64);
+        put_varint(out, self.sheds.len() as u64);
         for shed in self.sheds {
             let (tag, reclaimed) = match shed.action {
                 DegradationAction::ShedBuffers { reclaimed } => (0u8, reclaimed),
@@ -302,42 +299,43 @@ impl CheckpointSource<'_> {
                 DegradationAction::Truncate => (2, 0),
             };
             out.push(tag);
-            put_varint(&mut out, reclaimed as u64);
-            put_varint(&mut out, shed.at_states as u64);
-            put_varint(&mut out, shed.footprint as u64);
+            put_varint(out, reclaimed as u64);
+            put_varint(out, shed.at_states as u64);
+            put_varint(out, shed.footprint as u64);
         }
 
         // The flight-recorder ring (format version 2): a resumed session
         // inherits the events of the one that died, pre-kill checkpoint
         // writes included (the write event is pushed before encoding).
-        put_varint(&mut out, self.flight.len() as u64);
+        put_varint(out, self.flight.len() as u64);
         for event in self.flight {
-            put_varint(&mut out, event.seq);
+            put_varint(out, event.seq);
             out.push(event.kind.tag());
-            put_varint(&mut out, event.a);
-            put_varint(&mut out, event.b);
-            put_bytes(&mut out, event.detail.as_bytes());
+            put_varint(out, event.a);
+            put_varint(out, event.b);
+            put_bytes(out, event.detail.as_bytes());
         }
 
-        let checksum = StateCodec::fingerprint(&out);
+        let checksum = StateCodec::fingerprint(out);
         out.extend_from_slice(&checksum.to_le_bytes());
-        out
     }
 
-    /// Serialize and write to `dir`'s rolling checkpoint file, atomically:
-    /// the bytes land in a temporary file (fsynced), which is then renamed
-    /// over [`CHECKPOINT_FILE`] — a crash at any point leaves either the
-    /// old or the new checkpoint intact, never a torn one.
+    /// Serialize into `bytes` and write to `dir`'s rolling checkpoint
+    /// file, atomically: the bytes land in a temporary file, which is
+    /// then renamed over [`CHECKPOINT_FILE`] — a crash at any point
+    /// leaves either the old or the new checkpoint intact, never a torn
+    /// one.
     pub(crate) fn write_atomic(
         &self,
         rules: &Ruleset,
         dir: &Path,
+        bytes: &mut Vec<u8>,
     ) -> Result<PathBuf, CheckpointError> {
-        let bytes = self.encode(rules);
+        self.encode_into(rules, bytes);
         std::fs::create_dir_all(dir)?;
         let tmp = dir.join(format!(".{CHECKPOINT_FILE}.tmp"));
         let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        file.write_all(bytes)?;
         drop(file);
         let path = checkpoint_path(dir);
         // No fsync: the failure domain here is the *process* (kill,
@@ -671,6 +669,8 @@ impl Checkpoint {
     /// Re-serialize (the round-trip surface the proptests exercise).
     #[must_use]
     pub fn to_bytes(&self, rules: &Ruleset) -> Vec<u8> {
+        let (mut payload, mut ends, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+        self.arena.append_all_full_bytes(&mut payload, &mut ends);
         CheckpointSource {
             fingerprint: self.fingerprint,
             resumable: self.resumable,
@@ -681,7 +681,8 @@ impl Checkpoint {
             truncated: self.truncated,
             truncated_by_memory: self.truncated_by_memory,
             truncated_by_time: self.truncated_by_time,
-            arena: &self.arena,
+            payload: &payload,
+            ends: &ends,
             parents: &self.parents,
             succ_counts: &self.succ_counts,
             frontier: &self.frontier,
@@ -693,7 +694,8 @@ impl Checkpoint {
             reduction_stats: self.reduction_stats,
             flight: &self.flight,
         }
-        .encode(rules)
+        .encode_into(rules, &mut bytes);
+        bytes
     }
 
     /// Partial-report view of the checkpointed statistics (the seed the

@@ -319,8 +319,9 @@ pub struct Report {
     /// over the whole run; 0 when spilling is off or never triggered.
     pub spilled_extents: u64,
     /// Spilled extents faulted back from disk for decode (traces,
-    /// property dumps, checkpoint materialization); expansion itself
-    /// never faults, so this stays tiny on clean runs.
+    /// property dumps, checkpoint materialization — at most one read
+    /// per sealed extent per checkpoint); expansion itself never faults,
+    /// so this stays tiny on clean runs.
     pub faulted_extents: u64,
     /// Where this run's wall time went, by coarse phase — present only
     /// when a telemetry recorder was installed (the phase clock never

@@ -12,8 +12,8 @@ use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_repro::litmus::replay_trace;
 use cxl_repro::mc::{
-    CheckOptions, CheckpointPolicy, Exploration, ModelChecker, Reducer, Reduction,
-    ReductionConfig, SwmrProperty,
+    CheckOptions, Checkpoint, CheckpointPolicy, Exploration, FlightKind, ModelChecker, Reducer,
+    Reduction, ReductionConfig, SwmrProperty,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -302,4 +302,62 @@ fn checkpoint_resume_with_spill_matches_across_reduction_matrix() {
         let _ = std::fs::remove_dir_all(&ckpt);
         let _ = std::fs::remove_dir_all(&spill2);
     }
+}
+
+#[test]
+fn per_level_checkpoints_read_each_sealed_extent_once() {
+    // The sharded driver on the N=4 grid with keyframe-16 deltas, a zero
+    // spill watermark and a checkpoint at every level: delta chains then
+    // link one sealed extent per BFS level. Each checkpoint materializes
+    // the whole store in one sequential pass, so the run may read at
+    // most every sealed extent once per checkpoint — replaying chains
+    // through a small random-access cache would fault them tens of
+    // times over.
+    let cfg = ProtocolConfig::strict();
+    let init = n4_grid();
+    let plain = explore_with(cfg, 4, &init, CheckOptions::default());
+    let (ckpt, spill) = (scratch("per-level-ckpt"), scratch("per-level-spill"));
+    let every_level = || {
+        let mut policy = CheckpointPolicy::new(&ckpt);
+        policy.every = Duration::ZERO;
+        Some(policy)
+    };
+    let cold_opts = |spill: &std::path::Path| CheckOptions {
+        threads: 2,
+        delta_keyframe: 16,
+        spill_dir: Some(spill.to_path_buf()),
+        spill_budget: Some(0),
+        checkpoint: every_level(),
+        flight_events: 4096,
+        ..CheckOptions::default()
+    };
+    let cold = explore_with(cfg, 4, &init, cold_opts(&spill));
+    assert!(cold.report.shards > 1, "two threads must run the sharded driver");
+    assert_same_results(&plain, &cold, "sharded delta+spill+checkpoints");
+    let writes =
+        cold.report.flight.iter().filter(|e| e.kind == FlightKind::CheckpointWrite).count() as u64;
+    let sealed = cold.report.spilled_extents;
+    assert!(writes > 10 && sealed > 10, "{writes} checkpoints, {sealed} extents");
+    assert!(
+        cold.report.faulted_extents <= writes * sealed,
+        "{} extent reads for {writes} checkpoints over {sealed} sealed extents",
+        cold.report.faulted_extents
+    );
+
+    // The last checkpoint (the final level's boundary) holds every state
+    // in the plain store's exact byte layout.
+    let rules = Ruleset::with_devices(cfg, 4);
+    let last = Checkpoint::read_dir(&ckpt, &rules).expect("last checkpoint reads back");
+    assert_eq!(last.arena, plain.arena, "last checkpoint's arena");
+
+    // Resume never needs the dead run's extent files.
+    std::fs::remove_dir_all(&spill).expect("delete the spill dir");
+    let spill2 = scratch("per-level-spill2");
+    let resumed = ModelChecker::with_options(rules, cold_opts(&spill2))
+        .explore_resumed(&[&SwmrProperty])
+        .expect("resume without the spill dir");
+    assert!(resumed.report.resumed_from.is_some(), "must mark resumption");
+    assert_same_results(&plain, &resumed, "resumed without spill dir");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let _ = std::fs::remove_dir_all(&spill2);
 }
