@@ -89,7 +89,9 @@
 //! coupled group over the cap falls back to capped refine over group
 //! byte-classes (sound, coarser quotient) with a stderr NOTE.
 //!
-//! `--mem-budget-mb` caps the packed state store: when a big grid (an
+//! `--mem-budget-mb` caps the search's tracked footprint — the report's
+//! `footprint:` figure, split there into arena, dedup index, parent
+//! links, successor counts and frontier: when a big grid (an
 //! N = 4 sweep with long programs, say) outgrows the budget, exploration
 //! stops with a clean truncation report — partial coverage statistics and
 //! an explicit "memory budget exhausted" note — instead of OOMing.
@@ -189,7 +191,7 @@ EXPLORATION:
                            labeller on orbit-product groups, else brute
                            up to a cap, else capped refine + stderr NOTE)
     --por on|wide|off      partial-order reduction (default off)
-    --mem-budget-mb N      cap the packed state store
+    --mem-budget-mb N      cap the search footprint (the report's footprint:)
     --time-budget-ms N     wall-clock watchdog, checked at level bounds
 
 RESILIENCE:

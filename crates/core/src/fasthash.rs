@@ -12,11 +12,9 @@
 //!   SipHash on short keys.
 //! - [`FpIndex`] — a fingerprint-keyed index: states are hashed **once**
 //!   at discovery into a 64-bit fingerprint via [`FxHasher`]; the index
-//!   maps fingerprints to arena slots through an identity-hashed table, so
-//!   a probe is one u64 lookup plus (only on fingerprint collision) a full
-//!   state comparison.
-
-use std::collections::HashMap;
+//!   is a flat open-addressing table of 12-byte `(fingerprint, slot)`
+//!   records, so a probe is a short linear scan of one cache line or two
+//!   plus (only on a full 64-bit fingerprint match) a state comparison.
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// The rustc-hash/FxHash construction: `hash = (hash.rol(5) ^ word) * K`.
@@ -116,34 +114,6 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A no-op hasher for keys that are **already** hashes (fingerprints).
-///
-/// Feeding a 64-bit fingerprint through SipHash again would waste the work
-/// [`FxHasher`] already did; this hasher passes the key through untouched.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IdentityHasher {
-    hash: u64,
-}
-
-impl Hasher for IdentityHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("IdentityHasher only accepts u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.hash = i;
-    }
-}
-
-/// `BuildHasher` for [`IdentityHasher`].
-pub type IdentityBuildHasher = BuildHasherDefault<IdentityHasher>;
-
 /// The owning shard of a fingerprint under `shards`-way partitioning of
 /// the fingerprint space.
 ///
@@ -156,41 +126,64 @@ pub type IdentityBuildHasher = BuildHasherDefault<IdentityHasher>;
 /// private [`FpIndex`]. A `shards` of zero is treated as one (everything
 /// routes to shard 0).
 ///
-/// Routing takes the **upper** half of the fingerprint on purpose. Each
-/// shard's [`FpIndex`] is an identity-hashed table whose bucket choice
-/// comes from the fingerprint's low bits; routing by `fp % shards` would
-/// hand every shard a key set agreeing on its low bit(s), leaving half
-/// (or more) of each table's bucket positions unreachable and turning
-/// probes into long collision walks — measured at roughly +50% wall time
-/// on a two-shard run. Bits 32.. are untouched by the table's bucket
-/// selection for any realistic capacity, so high-bit routing keeps every
-/// shard's key set bucket-uniform.
+/// Any fixed split of the fingerprint would serve the shard indexes
+/// equally well: [`FpIndex`] places a fingerprint by a multiply-shift
+/// over all 64 bits, so a shard's key set agreeing on a few routing bits
+/// still spreads evenly over its table. The function is kept exactly as
+/// it is because shard placement decides which segment stores each
+/// state, and so every shard's delta bases and spill extents.
 #[inline]
 #[must_use]
 pub fn shard_of(fp: u64, shards: usize) -> usize {
     ((fp >> 32) % shards.max(1) as u64) as usize
 }
 
-/// One fingerprint bucket: almost always a single slot; collisions get a
-/// spilled vector.
-#[derive(Clone, Debug)]
-enum Bucket {
-    One(u32),
-    Many(Vec<u32>),
-}
+/// One index record: `[fp_lo, fp_hi, id]` — the fingerprint's two halves
+/// and the arena slot it indexes. Three `u32`s rather than `(u64, u32)`,
+/// which would pad to 16 bytes.
+type Slot = [u32; 3];
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 12);
+
+/// The `id` that marks a vacant record; arena slots are `< u32::MAX`.
+const EMPTY: u32 = u32::MAX;
+
+const VACANT: Slot = [0, 0, EMPTY];
+
+/// Maximum load factor, `MAX_LOAD_NUM / MAX_LOAD_DEN` = 3/4: the table
+/// doubles before an insert would fill more of it, which keeps linear
+/// probe runs short and guarantees a vacant record ends every run.
+const MAX_LOAD_NUM: usize = 3;
+const MAX_LOAD_DEN: usize = 4;
+
+/// Records in the smallest non-empty table.
+const MIN_SLOTS: usize = 16;
+
+/// Fibonacci-hashing multiplier (2⁶⁴ / φ, odd) for the home-slot
+/// multiply-shift.
+const HOME_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// A fingerprint-keyed dedup index over an external arena.
 ///
-/// The index stores `u32` arena slots keyed by 64-bit fingerprints. The
-/// caller supplies an equality closure that compares the probing state
-/// against an arena slot, so the index itself never touches state data
-/// and never re-hashes a state.
+/// The index stores `u32` arena slots keyed by 64-bit fingerprints in a
+/// flat open-addressing table: a power-of-two array of 12-byte records,
+/// linear probing from a home slot taken by multiply-shift over all 64
+/// fingerprint bits, at most 3/4 full. The caller supplies an equality
+/// closure that compares the probing state against an arena slot, so the
+/// index itself never touches state data and never re-hashes a state.
+///
+/// Each record keeps the **full** fingerprint, and the closure is called
+/// only for records whose fingerprint equals the probe's in all 64 bits.
+/// Two states that collide on all 64 bits still get separate records —
+/// the closure tells them apart. The model checker's spilled tier leans
+/// on this order: its closure accepts a sealed entry without reading it
+/// back, trusting the fingerprint match the index already made.
 #[derive(Clone, Debug, Default)]
 pub struct FpIndex {
-    map: HashMap<u64, Bucket, IdentityBuildHasher>,
-    /// Total capacity (in `u32` slots) of all spilled collision vectors,
-    /// maintained incrementally so [`Self::approx_heap_bytes`] stays O(1).
-    spilled_slots: usize,
+    /// The table: empty before the first insert, else a power of two.
+    slots: Vec<Slot>,
+    /// Occupied records.
+    len: usize,
 }
 
 impl FpIndex {
@@ -200,106 +193,131 @@ impl FpIndex {
         FpIndex::default()
     }
 
-    /// An empty index with room for `cap` fingerprints.
+    /// An empty index with room for `cap` fingerprints before it grows.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
-        FpIndex {
-            map: HashMap::with_capacity_and_hasher(cap, IdentityBuildHasher::default()),
-            spilled_slots: 0,
-        }
+        FpIndex { slots: vec![VACANT; slots_for(cap)], len: 0 }
     }
 
-    /// Approximate resident footprint of the index: the hash table's
-    /// bucket array (key + bucket payload + control byte per slot of
-    /// capacity) plus every spilled collision vector. O(1) — the spill
-    /// total is maintained incrementally — so the model checker can fold
-    /// it into its per-merge memory-budget check.
+    /// Resident footprint of the index: 12 bytes per table record. O(1),
+    /// so the model checker can fold it into its per-merge memory-budget
+    /// check.
     #[must_use]
     pub fn approx_heap_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<u64>() + std::mem::size_of::<Bucket>() + 1;
-        self.map.capacity() * slot + self.spilled_slots * std::mem::size_of::<u32>()
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
-    /// Release capacity slack: shrink the hash table and every spilled
-    /// collision vector to fit (the degradation ladder's shed step).
+    /// Release capacity slack: rehash into the smallest table that holds
+    /// the current entries (the degradation ladder's shed step).
     pub fn shrink_to_fit(&mut self) {
-        self.map.shrink_to_fit();
-        let mut spilled = 0;
-        for bucket in self.map.values_mut() {
-            if let Bucket::Many(ids) = bucket {
-                ids.shrink_to_fit();
-                spilled += ids.capacity();
-            }
+        let fit = slots_for(self.len);
+        if fit < self.slots.len() {
+            self.rehash(fit);
         }
-        self.spilled_slots = spilled;
     }
 
     /// Number of indexed slots.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map
-            .values()
-            .map(|b| match b {
-                Bucket::One(_) => 1,
-                Bucket::Many(v) => v.len(),
-            })
-            .sum()
+        self.len
     }
 
     /// Is the index empty?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Read-only probe: the indexed slot whose state matches, if any.
     pub fn probe(&self, fp: u64, mut same: impl FnMut(u32) -> bool) -> Option<u32> {
-        match self.map.get(&fp)? {
-            Bucket::One(id) => same(*id).then_some(*id),
-            Bucket::Many(ids) => ids.iter().copied().find(|&id| same(id)),
+        if self.slots.is_empty() {
+            return None;
         }
+        self.find(fp, &mut same).ok()
     }
 
     /// Probe for a state with fingerprint `fp`, using `same` to compare
     /// the probing state with an already-indexed arena slot. Returns the
     /// existing slot on a hit; otherwise records `candidate` under `fp`
     /// and returns `None`.
+    ///
+    /// # Panics
+    /// Panics if `candidate` is `u32::MAX`, the vacant-record marker.
     pub fn insert(
         &mut self,
         fp: u64,
         candidate: u32,
         mut same: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
-        match self.map.entry(fp) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Bucket::One(candidate));
-                None
+        assert_ne!(candidate, EMPTY, "arena slot u32::MAX cannot be indexed");
+        if self.slots.is_empty() {
+            self.rehash(MIN_SLOTS);
+        }
+        let mut at = match self.find(fp, &mut same) {
+            Ok(hit) => return Some(hit),
+            Err(vacant) => vacant,
+        };
+        if (self.len + 1) * MAX_LOAD_DEN > self.slots.len() * MAX_LOAD_NUM {
+            self.rehash(self.slots.len() * 2);
+            at = self.find(fp, &mut |_| false).unwrap_err();
+        }
+        self.slots[at] = [fp as u32, (fp >> 32) as u32, candidate];
+        self.len += 1;
+        None
+    }
+
+    /// Walk `fp`'s probe run in a non-empty table: `Ok(id)` for the first
+    /// record whose fingerprint equals `fp` in all 64 bits and whose
+    /// state `same` accepts, else `Err` with the vacant record ending the
+    /// run.
+    #[inline]
+    fn find(&self, fp: u64, same: &mut impl FnMut(u32) -> bool) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(fp);
+        loop {
+            let record = self.slots[at];
+            let id = record[2];
+            if id == EMPTY {
+                return Err(at);
             }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                match e.get_mut() {
-                    Bucket::One(id) => {
-                        if same(*id) {
-                            return Some(*id);
-                        }
-                        let existing = *id;
-                        let spilled = vec![existing, candidate];
-                        self.spilled_slots += spilled.capacity();
-                        *e.get_mut() = Bucket::Many(spilled);
-                        None
-                    }
-                    Bucket::Many(ids) => {
-                        if let Some(&hit) = ids.iter().find(|&&id| same(id)) {
-                            return Some(hit);
-                        }
-                        let before = ids.capacity();
-                        ids.push(candidate);
-                        self.spilled_slots += ids.capacity() - before;
-                        None
-                    }
-                }
+            if fingerprint(record) == fp && same(id) {
+                return Ok(id);
             }
+            at = (at + 1) & mask;
         }
     }
+
+    /// `fp`'s home record: the top `log2(table size)` bits of
+    /// `fp · HOME_MUL`, so every fingerprint bit moves the home.
+    #[inline]
+    fn home(&self, fp: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (fp.wrapping_mul(HOME_MUL) >> (64 - bits)) as usize
+    }
+
+    /// Move every record into a fresh vacant table of `slots` records.
+    fn rehash(&mut self, slots: usize) {
+        let old = std::mem::replace(&mut self.slots, vec![VACANT; slots]);
+        for record in old.into_iter().filter(|r| r[2] != EMPTY) {
+            let at = self.find(fingerprint(record), &mut |_| false).unwrap_err();
+            self.slots[at] = record;
+        }
+    }
+}
+
+/// The full 64-bit fingerprint a record was filed under.
+#[inline]
+fn fingerprint([lo, hi, _]: Slot) -> u64 {
+    u64::from(hi) << 32 | u64::from(lo)
+}
+
+/// Table size for `entries` records: 0 when empty, else the smallest
+/// power of two (at least [`MIN_SLOTS`]) they fill at most 3/4 of.
+fn slots_for(entries: usize) -> usize {
+    if entries == 0 {
+        return 0;
+    }
+    (entries * MAX_LOAD_DEN).div_ceil(MAX_LOAD_NUM).next_power_of_two().max(MIN_SLOTS)
 }
 
 #[cfg(test)]
@@ -335,5 +353,104 @@ mod tests {
         assert_eq!(idx.len(), 3);
         // Distinct fingerprints never compare states.
         assert_eq!(idx.insert(8, 9, |_| panic!("no comparison needed")), None);
+    }
+
+    #[test]
+    fn same_is_only_called_on_a_full_fingerprint_match() {
+        // Two fingerprints sharing their home record and their low 32
+        // bits, differing only above bit 32: a tag or half-fingerprint
+        // index would hand the second probe to `same` for the first
+        // state. The spilled tier's `same` accepts sealed entries
+        // unread, so that would merge two distinct states.
+        let mut idx = FpIndex::new();
+        let a: u64 = 0x0000_0001_dead_beef;
+        assert_eq!(idx.insert(a, 0, |_| unreachable!("empty index")), None);
+        let b = (2u64..)
+            .map(|hi| hi << 32 | (a & 0xffff_ffff))
+            .find(|&b| idx.home(b) == idx.home(a))
+            .expect("some high half shares the home record");
+        assert_eq!(idx.insert(b, 1, |id| panic!("same({id}) on a fingerprint mismatch")), None);
+        assert_eq!(idx.probe(b, |id| id == 1 || panic!("same({id}) for b")), Some(1));
+        assert_eq!(idx.probe(a, |id| id == 0 || panic!("same({id}) for a")), Some(0));
+        assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn table_sizing_follows_the_load_factor() {
+        assert_eq!(FpIndex::new().approx_heap_bytes(), 0);
+        assert_eq!(FpIndex::with_capacity(12).approx_heap_bytes(), 16 * 12);
+        assert_eq!(FpIndex::with_capacity(13).approx_heap_bytes(), 32 * 12);
+        let mut idx = FpIndex::with_capacity(1000);
+        for i in 0..100u32 {
+            idx.insert(fx_hash_of(&i), i, |_| false);
+        }
+        assert_eq!(idx.approx_heap_bytes(), 2048 * 12);
+        idx.shrink_to_fit();
+        assert_eq!(idx.approx_heap_bytes(), 256 * 12);
+        assert_eq!(idx.len(), 100);
+        for i in 0..100u32 {
+            assert_eq!(idx.probe(fx_hash_of(&i), |id| id == i), Some(i));
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Model-based check against a `HashMap<u64, Vec<u32>>` reference
+        /// index. Each op word picks an operation and a state key; keys
+        /// fingerprint through a small pool built to collide (shared
+        /// values, shared low halves, shared high halves), so forced-equal
+        /// fingerprints, shared probe runs and growth all occur, with
+        /// `shrink_to_fit` interleaved.
+        #[test]
+        fn prop_index_matches_a_reference_map(
+            ops in proptest::collection::vec(any::<u64>(), 1..700),
+            pool_size in 1usize..64,
+        ) {
+            let pool: Vec<u64> = (0..pool_size as u64)
+                .map(|i| match i % 3 {
+                    0 => i / 3,
+                    1 => (i << 32) | 7,
+                    _ => fx_hash_of(&i),
+                })
+                .collect();
+            let fp_of = |key: u32| pool[key as usize % pool.len()];
+            let mut arena: Vec<u32> = Vec::new();
+            let mut model: std::collections::HashMap<u64, Vec<u32>> =
+                std::collections::HashMap::new();
+            let mut idx = FpIndex::new();
+            for op in ops {
+                let key = (op >> 8) as u32 % 400;
+                let fp = fp_of(key);
+                let expect = model
+                    .get(&fp)
+                    .and_then(|ids| ids.iter().copied().find(|&id| arena[id as usize] == key));
+                let same = |id: u32| {
+                    assert_eq!(fp_of(arena[id as usize]), fp, "same() on a fingerprint mismatch");
+                    arena[id as usize] == key
+                };
+                match op % 8 {
+                    0 => idx.shrink_to_fit(),
+                    1..=2 => prop_assert_eq!(idx.probe(fp, same), expect),
+                    _ => {
+                        let candidate = arena.len() as u32;
+                        prop_assert_eq!(idx.insert(fp, candidate, same), expect);
+                        if expect.is_none() {
+                            arena.push(key);
+                            model.entry(fp).or_default().push(candidate);
+                        }
+                    }
+                }
+                prop_assert_eq!(idx.len(), arena.len());
+                prop_assert_eq!(idx.is_empty(), arena.is_empty());
+            }
+            // Every stored key is still found after the last growth or
+            // shrink.
+            for (id, &key) in arena.iter().enumerate() {
+                prop_assert_eq!(idx.probe(fp_of(key), |j| arena[j as usize] == key), Some(id as u32));
+            }
+        }
     }
 }

@@ -74,8 +74,8 @@ use crate::checkpoint::{
 };
 use crate::property::Property;
 use crate::report::{
-    Deadlock, DegradationAction, DegradationStep, Quarantine, ReductionSummary, Report, Step,
-    Trace, Violation,
+    Deadlock, DegradationAction, DegradationStep, Footprint, Quarantine, ReductionSummary, Report,
+    Step, Trace, Violation,
 };
 use cxl_core::{
     shard_of, EntryCursor, FpIndex, RuleId, Ruleset, StateArena, StateCodec, SystemState,
@@ -302,6 +302,19 @@ impl std::fmt::Debug for CheckOptions {
 /// Sentinel for "this state was never expanded" in
 /// [`Exploration::successor_counts`].
 pub const NOT_EXPANDED: u32 = u32::MAX;
+
+/// A stored state's BFS parent link: `None` for the root, else the
+/// parent's discovery-order id and the rule that fired from it. State ids
+/// are `u32` in the dedup index already, so the `u32` parent adds no new
+/// limit; `Shape`'s niche makes the whole link 8 bytes.
+pub type ParentLink = Option<(u32, RuleId)>;
+
+const _: () = assert!(std::mem::size_of::<ParentLink>() == 8);
+
+/// The link to a stored state's BFS `parent` through `rule`.
+fn link(parent: usize, rule: RuleId) -> ParentLink {
+    Some((u32::try_from(parent).expect("state ids fit u32"), rule))
+}
 
 /// The outcome of expanding one frontier state inside an
 /// [`ExpandedChunk`]. Rule firing runs inside `catch_unwind` (in both
@@ -730,7 +743,7 @@ impl ModelChecker {
         // for trace rebuilding and per-state successor counts (recorded
         // at expansion time).
         let mut arena = StateArena::new(codec);
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
+        let mut parents: Vec<ParentLink> = Vec::new();
         let mut succ_counts: Vec<u32> = Vec::new();
         let mut index = FpIndex::new();
 
@@ -825,9 +838,10 @@ impl ModelChecker {
                 succ_counts = cp.succ_counts;
                 firings = cp.firings;
                 index = FpIndex::with_capacity(arena.len());
-                // Replaying insertions in discovery order reproduces the
-                // writing run's bucket layout (collisions spill in the
-                // same order).
+                // Re-index every checkpointed state. Dedup answers depend
+                // only on which states are indexed, not on where the
+                // table places them, so the rebuilt index (sized once,
+                // never grown) behaves exactly like the writing run's.
                 for (i, &fp) in cp.fps.iter().enumerate() {
                     let candidate = u32::try_from(i).expect("state count fits u32");
                     index.insert(fp, candidate, |id| {
@@ -942,12 +956,12 @@ impl ModelChecker {
                     * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
                 let before = ring_bytes
                     + search_footprint(
-                        &arena,
-                        &index,
+                        arena_bytes(&arena, &index),
                         parents.capacity(),
                         succ_counts.capacity(),
                         frontier.capacity(),
-                    );
+                    )
+                    .total();
                 if !shed_done.get() && before.saturating_mul(10) >= budget.saturating_mul(8) {
                     shed_done.set(true);
                     ring_on = false;
@@ -980,12 +994,12 @@ impl ModelChecker {
                     succ_meta = Vec::new();
                     canon_scratch = Vec::new();
                     let after = search_footprint(
-                        &arena,
-                        &index,
+                        arena_bytes(&arena, &index),
                         parents.capacity(),
                         succ_counts.capacity(),
                         frontier.capacity(),
-                    );
+                    )
+                    .total();
                     report.sheds.push(DegradationStep {
                         action: DegradationAction::ShedBuffers {
                             reclaimed: before.saturating_sub(after),
@@ -1119,7 +1133,7 @@ impl ModelChecker {
                              encoded: &[u8],
                              fp: u64,
                              arena: &mut StateArena,
-                             parents: &mut Vec<Option<(usize, RuleId)>>,
+                             parents: &mut Vec<ParentLink>,
                              succ_counts: &mut Vec<u32>,
                              report: &mut Report|
              -> Merged {
@@ -1165,7 +1179,7 @@ impl ModelChecker {
                 // the BFS parent lives in this same arena, one decode
                 // chain link away.
                 arena.push_encoded_delta(encoded, Some(parent as u32));
-                parents.push(Some((parent, rule)));
+                parents.push(link(parent, rule));
                 succ_counts.push(NOT_EXPANDED);
                 new_indices.push(candidate as usize);
                 if arena.len() >= self.opts.max_states {
@@ -1177,12 +1191,12 @@ impl ModelChecker {
                     // counts, and both frontier queues — against the
                     // budget, not just the arena.
                     let mut footprint = search_footprint(
-                        arena,
-                        &index,
+                        arena_bytes(arena, &index),
                         parents.capacity(),
                         succ_counts.capacity(),
                         frontier_slots + new_indices.capacity(),
-                    );
+                    )
+                    .total();
                     // A fast-growing level can blow through the 80%
                     // boundary rung and the budget in one stride; shed
                     // the capacity slack reachable from here before
@@ -1197,12 +1211,12 @@ impl ModelChecker {
                         parents.shrink_to_fit();
                         succ_counts.shrink_to_fit();
                         let after = search_footprint(
-                            arena,
-                            &index,
+                            arena_bytes(arena, &index),
                             parents.capacity(),
                             succ_counts.capacity(),
                             frontier_slots + new_indices.capacity(),
-                        );
+                        )
+                        .total();
                         report.sheds.push(DegradationStep {
                             action: DegradationAction::ShedBuffers {
                                 reclaimed: footprint.saturating_sub(after),
@@ -1527,12 +1541,12 @@ impl ModelChecker {
                         duplicates: transitions_delta.saturating_sub(new_indices.len()),
                         frontier: new_indices.len(),
                         footprint: search_footprint(
-                            &arena,
-                            &index,
+                            arena_bytes(&arena, &index),
                             parents.capacity(),
                             succ_counts.capacity(),
                             frontier.capacity() + new_indices.capacity(),
-                        ),
+                        )
+                        .total(),
                         elapsed: level_started.elapsed(),
                         phases,
                         sheds: shed_delta,
@@ -1664,13 +1678,12 @@ impl ModelChecker {
             .map(|(&id, &n)| (id, n))
             .collect();
         report.states = arena.len();
-        report.memory_bytes = search_footprint(
-            &arena,
-            &index,
+        report.set_footprint(search_footprint(
+            arena_bytes(&arena, &index),
             parents.capacity(),
             succ_counts.capacity(),
             frontier.capacity(),
-        );
+        ));
         if let Some(r) = reducer {
             // One pass over the stored representatives prices the
             // device-symmetry engine: Σ orbit sizes is the exact store
@@ -1761,7 +1774,7 @@ impl ModelChecker {
         let mut phase_total = PhaseNanos::default();
 
         let mut store = ShardedStore::new(codec, shards);
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
+        let mut parents: Vec<ParentLink> = Vec::new();
         let mut succ_counts: Vec<u32> = Vec::new();
 
         // Over-cap transient dedup — only ever touched by slow-path
@@ -1943,12 +1956,13 @@ impl ModelChecker {
                 let ring_bytes = ring_states
                     * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
                 let before = ring_bytes
-                    + sharded_footprint(
-                        &store,
+                    + search_footprint(
+                        store.heap_bytes(),
                         parents.capacity(),
                         succ_counts.capacity(),
                         frontier.capacity(),
-                    );
+                    )
+                    .total();
                 if !shed_done && before.saturating_mul(10) >= budget.saturating_mul(8) {
                     shed_done = true;
                     ring_on = false;
@@ -1966,12 +1980,13 @@ impl ModelChecker {
                     frontier.shrink_to_fit();
                     transient.clear_and_release();
                     transient_index = FpIndex::new();
-                    let after = sharded_footprint(
-                        &store,
+                    let after = search_footprint(
+                        store.heap_bytes(),
                         parents.capacity(),
                         succ_counts.capacity(),
                         frontier.capacity(),
-                    );
+                    )
+                    .total();
                     report.sheds.push(DegradationStep {
                         action: DegradationAction::ShedBuffers {
                             reclaimed: before.saturating_sub(after),
@@ -2156,12 +2171,13 @@ impl ModelChecker {
                     let fast = !report.truncated
                         && store.len() + total_msgs <= self.opts.max_states
                         && self.opts.mem_budget.is_none_or(|budget| {
-                            let now = sharded_footprint(
-                                &store,
+                            let now = search_footprint(
+                                store.heap_bytes(),
                                 parents.capacity(),
                                 succ_counts.capacity(),
                                 frontier.capacity(),
-                            );
+                            )
+                            .total();
                             let worst = now + payload_bytes + total_msgs * PER_STATE_OVERHEAD;
                             worst.saturating_mul(10) < budget.saturating_mul(8)
                         });
@@ -2265,7 +2281,7 @@ impl ModelChecker {
                         for (s, f) in fresh {
                             let gid = store.dir.len();
                             store.dir.push((u32::try_from(s).expect("shard fits u32"), f.slot));
-                            parents.push(Some((f.parent as usize, f.rule)));
+                            parents.push(Some((f.parent, f.rule)));
                             succ_counts.push(NOT_EXPANDED);
                             new_indices.push(gid);
                         }
@@ -2323,7 +2339,7 @@ impl ModelChecker {
                                         store
                                             .dir
                                             .push((u32::try_from(s).expect("shard fits u32"), slot));
-                                        parents.push(Some((parent, rule)));
+                                        parents.push(link(parent, rule));
                                         succ_counts.push(NOT_EXPANDED);
                                         new_indices.push(gid);
                                         match stolen {
@@ -2420,19 +2436,20 @@ impl ModelChecker {
                                 let Some(slot) = fresh else { continue };
                                 let gid = store.dir.len();
                                 store.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
-                                parents.push(Some((parent, rule)));
+                                parents.push(link(parent, rule));
                                 succ_counts.push(NOT_EXPANDED);
                                 new_indices.push(gid);
                                 if store.len() >= self.opts.max_states {
                                     report.truncated = true;
                                 }
                                 if let Some(budget) = self.opts.mem_budget {
-                                    let mut footprint = sharded_footprint(
-                                        &store,
+                                    let mut footprint = search_footprint(
+                                        store.heap_bytes(),
                                         parents.capacity(),
                                         succ_counts.capacity(),
                                         frontier.capacity() + new_indices.capacity(),
-                                    );
+                                    )
+                                    .total();
                                     if !shed_done
                                         && footprint.saturating_mul(10) >= budget.saturating_mul(8)
                                     {
@@ -2440,12 +2457,13 @@ impl ModelChecker {
                                         store.shrink_to_fit();
                                         parents.shrink_to_fit();
                                         succ_counts.shrink_to_fit();
-                                        let after = sharded_footprint(
-                                            &store,
+                                        let after = search_footprint(
+                                            store.heap_bytes(),
                                             parents.capacity(),
                                             succ_counts.capacity(),
                                             frontier.capacity() + new_indices.capacity(),
-                                        );
+                                        )
+                                        .total();
                                         report.sheds.push(DegradationStep {
                                             action: DegradationAction::ShedBuffers {
                                                 reclaimed: footprint.saturating_sub(after),
@@ -2658,7 +2676,7 @@ impl ModelChecker {
                             store
                                 .dir
                                 .push((u32::try_from(s).expect("shard fits u32"), slot));
-                            parents.push(Some((parent, rule)));
+                            parents.push(link(parent, rule));
                             succ_counts.push(NOT_EXPANDED);
                             new_indices.push(gid);
                             // Promote the stolen decode into the next
@@ -2680,12 +2698,13 @@ impl ModelChecker {
                                 report.truncated = true;
                             }
                             if let Some(budget) = self.opts.mem_budget {
-                                let mut footprint = sharded_footprint(
-                                    &store,
+                                let mut footprint = search_footprint(
+                                    store.heap_bytes(),
                                     parents.capacity(),
                                     succ_counts.capacity(),
                                     frontier.capacity() + new_indices.capacity(),
-                                );
+                                )
+                                .total();
                                 if !shed_done
                                     && footprint.saturating_mul(10)
                                         >= budget.saturating_mul(8)
@@ -2694,12 +2713,13 @@ impl ModelChecker {
                                     store.shrink_to_fit();
                                     parents.shrink_to_fit();
                                     succ_counts.shrink_to_fit();
-                                    let after = sharded_footprint(
-                                        &store,
+                                    let after = search_footprint(
+                                        store.heap_bytes(),
                                         parents.capacity(),
                                         succ_counts.capacity(),
                                         frontier.capacity() + new_indices.capacity(),
-                                    );
+                                    )
+                                    .total();
                                     report.sheds.push(DegradationStep {
                                         action: DegradationAction::ShedBuffers {
                                             reclaimed: footprint.saturating_sub(after),
@@ -2836,12 +2856,13 @@ impl ModelChecker {
                         transitions: transitions_delta,
                         duplicates: transitions_delta.saturating_sub(new_indices.len()),
                         frontier: new_indices.len(),
-                        footprint: sharded_footprint(
-                            &store,
+                        footprint: search_footprint(
+                            store.heap_bytes(),
                             parents.capacity(),
                             succ_counts.capacity(),
                             frontier.capacity() + new_indices.capacity(),
-                        ),
+                        )
+                        .total(),
                         elapsed: level_started.elapsed(),
                         phases,
                         sheds: shed_delta,
@@ -2955,12 +2976,12 @@ impl ModelChecker {
             .map(|(&id, &n)| (id, n))
             .collect();
         report.states = store.len();
-        report.memory_bytes = sharded_footprint(
-            &store,
+        report.set_footprint(search_footprint(
+            store.heap_bytes(),
             parents.capacity(),
             succ_counts.capacity(),
             frontier.capacity(),
-        );
+        ));
         if let Some(r) = reducer {
             let stats = r.stats();
             let orbit_states = orbit_states(&store, r);
@@ -3012,7 +3033,7 @@ impl ModelChecker {
         rule: RuleId,
         succ: &SystemState,
         store: &impl StateStore,
-        parents: &[Option<(usize, RuleId)>],
+        parents: &[ParentLink],
         props: &[&dyn Property],
         report: &mut Report,
     ) {
@@ -3036,7 +3057,7 @@ impl ModelChecker {
         &self,
         id: usize,
         store: &impl StateStore,
-        parents: &[Option<(usize, RuleId)>],
+        parents: &[ParentLink],
         props: &[&dyn Property],
         report: &mut Report,
     ) {
@@ -3078,7 +3099,7 @@ impl ModelChecker {
         let mut report = Report::default();
 
         let mut states: Vec<Arc<SystemState>> = Vec::new();
-        let mut parents: Vec<Option<(usize, RuleId)>> = Vec::new();
+        let mut parents: Vec<ParentLink> = Vec::new();
         let mut index: HashMap<Arc<SystemState>, usize> = HashMap::new();
 
         let init = Arc::new(initial.clone());
@@ -3122,7 +3143,7 @@ impl ModelChecker {
                 }
                 let id = states.len();
                 states.push(Arc::clone(&succ));
-                parents.push(Some((parent, rule)));
+                parents.push(link(parent, rule));
                 index.insert(succ, id);
                 new_indices.push(id);
                 if states.len() >= self.opts.max_states {
@@ -3173,7 +3194,10 @@ impl ModelChecker {
         }
 
         report.states = arena.len();
-        report.memory_bytes = arena.approx_heap_bytes();
+        report.set_footprint(Footprint {
+            arena: arena.approx_heap_bytes(),
+            ..Footprint::default()
+        });
         report.elapsed = start.elapsed();
         Exploration { report, arena, successor_counts: succ_counts }
     }
@@ -3182,7 +3206,7 @@ impl ModelChecker {
         &self,
         id: usize,
         states: &[Arc<SystemState>],
-        parents: &[Option<(usize, RuleId)>],
+        parents: &[ParentLink],
         props: &[&dyn Property],
         report: &mut Report,
     ) {
@@ -3492,21 +3516,29 @@ impl LazyPool<'_, '_> {
 }
 
 /// Full resident footprint of the search, the quantity
-/// [`CheckOptions::mem_budget`] bounds: the packed arena, the dedup
-/// fingerprint table, the parent links, the successor counts, and the
-/// frontier queues (`queue_slots` = total `usize` slots across them).
+/// [`CheckOptions::mem_budget`] bounds, per structure: the store's
+/// `(arena, index)` bytes ([`arena_bytes`] or
+/// [`ShardedStore::heap_bytes`]), the parent links, the successor counts,
+/// and the frontier queues (`queue_slots` = total `usize` slots across
+/// them).
 fn search_footprint(
-    arena: &StateArena,
-    index: &FpIndex,
+    (arena, index): (usize, usize),
     parents_cap: usize,
     succ_counts_cap: usize,
     queue_slots: usize,
-) -> usize {
-    arena.approx_heap_bytes()
-        + index.approx_heap_bytes()
-        + parents_cap * std::mem::size_of::<Option<(usize, RuleId)>>()
-        + succ_counts_cap * std::mem::size_of::<u32>()
-        + queue_slots * std::mem::size_of::<usize>()
+) -> Footprint {
+    Footprint {
+        arena,
+        index,
+        parents: parents_cap * std::mem::size_of::<ParentLink>(),
+        succ_counts: succ_counts_cap * std::mem::size_of::<u32>(),
+        frontier: queue_slots * std::mem::size_of::<usize>(),
+    }
+}
+
+/// The sequential driver's `(arena, index)` store bytes.
+fn arena_bytes(arena: &StateArena, index: &FpIndex) -> (usize, usize) {
+    (arena.approx_heap_bytes(), index.approx_heap_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -3606,6 +3638,18 @@ impl ShardedStore {
     fn put_shard(&mut self, s: usize, state: ShardState) {
         debug_assert!(self.shards[s].is_none(), "shard returned twice");
         self.shards[s] = Some(state);
+    }
+
+    /// `(arena, index)` store bytes: every shard's segment plus the
+    /// global directory, and every shard's index.
+    fn heap_bytes(&self) -> (usize, usize) {
+        let mut arena = self.dir.capacity() * std::mem::size_of::<(u32, u32)>();
+        let mut index = 0;
+        for shard in self.shards.iter().flatten() {
+            arena += shard.segment.approx_heap_bytes();
+            index += shard.index.approx_heap_bytes();
+        }
+        (arena, index)
     }
 
     /// The degradation ladder's shed step, per shard.
@@ -3910,24 +3954,6 @@ fn expand_one(
     }
 }
 
-/// [`search_footprint`] for the sharded driver: every shard's segment
-/// and index, the global directory, and the shared bookkeeping.
-fn sharded_footprint(
-    store: &ShardedStore,
-    parents_cap: usize,
-    succ_counts_cap: usize,
-    queue_slots: usize,
-) -> usize {
-    let mut total = store.dir.capacity() * std::mem::size_of::<(u32, u32)>();
-    for shard in store.shards.iter().flatten() {
-        total += shard.segment.approx_heap_bytes() + shard.index.approx_heap_bytes();
-    }
-    total
-        + parents_cap * std::mem::size_of::<Option<(usize, RuleId)>>()
-        + succ_counts_cap * std::mem::size_of::<u32>()
-        + queue_slots * std::mem::size_of::<usize>()
-}
-
 /// Run-total (sealed, faulted) extent counters summed over shard
 /// segments — the sharded analogue of the arena's own counters.
 fn sharded_spill_counts(store: &ShardedStore) -> (u64, u64) {
@@ -3982,7 +4008,7 @@ fn write_checkpoint(
     depth: usize,
     elapsed: Duration,
     store: &impl StateStore,
-    parents: &[Option<(usize, RuleId)>],
+    parents: &[ParentLink],
     succ_counts: &[u32],
     frontier: &[usize],
     firings: &[u64],
@@ -4091,32 +4117,24 @@ fn quarantine_of(state: usize, store: &impl StateStore, message: String) -> Quar
 
 /// Rebuild the trace from the initial state to state `id` via parent
 /// links, decoding each step's state from the packed store.
-fn rebuild_trace(
-    id: usize,
-    store: &impl StateStore,
-    parents: &[Option<(usize, RuleId)>],
-) -> Trace {
+fn rebuild_trace(id: usize, store: &impl StateStore, parents: &[ParentLink]) -> Trace {
     let mut rev = Vec::new();
     let mut cur = id;
     while let Some((parent, rule)) = parents[cur] {
         rev.push(Step { rule, state: store.decode(cur) });
-        cur = parent;
+        cur = parent as usize;
     }
     rev.reverse();
     Trace { initial: store.decode(cur), steps: rev }
 }
 
 /// [`rebuild_trace`] over the naive pipeline's heap visited set.
-fn rebuild_trace_arcs(
-    id: usize,
-    states: &[Arc<SystemState>],
-    parents: &[Option<(usize, RuleId)>],
-) -> Trace {
+fn rebuild_trace_arcs(id: usize, states: &[Arc<SystemState>], parents: &[ParentLink]) -> Trace {
     let mut rev = Vec::new();
     let mut cur = id;
     while let Some((parent, rule)) = parents[cur] {
         rev.push(Step { rule, state: (*states[cur]).clone() });
-        cur = parent;
+        cur = parent as usize;
     }
     rev.reverse();
     Trace { initial: (*states[cur]).clone(), steps: rev }
@@ -4183,6 +4201,24 @@ mod tests {
         }
         assert!(exp.bytes_per_state() > 0.0);
         assert!(exp.report.memory_bytes >= exp.arena.byte_len());
+    }
+
+    #[test]
+    fn footprint_parts_sum_to_memory_bytes_in_both_drivers() {
+        let init = SystemState::initial(programs::store(42), programs::load());
+        for shards in [None, Some(2)] {
+            let mc = ModelChecker::with_options(
+                Ruleset::new(ProtocolConfig::strict()),
+                CheckOptions { shards, ..CheckOptions::default() },
+            );
+            let exp = mc.explore(&init, &[]);
+            let (fp, states) = (exp.report.footprint, exp.report.states);
+            assert_eq!(fp.total(), exp.report.memory_bytes, "{shards:?}: {fp:?}");
+            assert!(fp.arena >= exp.arena.byte_len(), "{shards:?}: {fp:?}");
+            assert!(fp.index >= states * 12, "{shards:?}: {fp:?}");
+            assert!(fp.parents >= states * 8 && fp.parents % 8 == 0, "{shards:?}: {fp:?}");
+            assert!(fp.succ_counts >= states * 4, "{shards:?}: {fp:?}");
+        }
     }
 
     #[test]

@@ -35,8 +35,10 @@
 //! budget between sessions is the whole point of checkpointed campaigns,
 //! and the deterministic merge makes thread count invisible to results.
 
+use crate::checker::ParentLink;
 use crate::report::{
-    Deadlock, DegradationAction, DegradationStep, Quarantine, Report, Step, Trace, Violation,
+    Deadlock, DegradationAction, DegradationStep, Footprint, Quarantine, Report, Step, Trace,
+    Violation,
 };
 use cxl_core::codec::wire::{put_bytes, put_varint, WireReader};
 use cxl_core::{CodecError, RuleId, Ruleset, StateArena, StateCodec};
@@ -176,7 +178,7 @@ pub(crate) struct CheckpointSource<'a> {
     /// keyframe layout.
     pub payload: &'a [u8],
     pub ends: &'a [usize],
-    pub parents: &'a [Option<(usize, RuleId)>],
+    pub parents: &'a [ParentLink],
     pub succ_counts: &'a [u32],
     pub frontier: &'a [usize],
     pub firings: &'a [u64],
@@ -236,7 +238,7 @@ impl CheckpointSource<'_> {
             match parent {
                 None => put_varint(out, 0),
                 Some((id, rule)) => {
-                    put_varint(out, *id as u64 + 1);
+                    put_varint(out, u64::from(*id) + 1);
                     put_varint(out, rules.dense_index(*rule) as u64);
                 }
             }
@@ -381,7 +383,7 @@ pub struct Checkpoint {
     /// recomputation at load).
     pub fps: Vec<u64>,
     /// Parent links for trace rebuilding.
-    pub parents: Vec<Option<(usize, RuleId)>>,
+    pub parents: Vec<ParentLink>,
     /// Per-state successor counts ([`crate::NOT_EXPANDED`] for frontier
     /// states).
     pub succ_counts: Vec<u32>,
@@ -500,10 +502,12 @@ impl Checkpoint {
             if tag == 0 {
                 parents.push(None);
             } else {
-                let parent = usize_of(tag - 1)?;
-                if parent >= id {
+                let parent = tag - 1;
+                if parent >= id as u64 {
                     return Err(corrupt(format!("state {id} has parent {parent} (not prior)")));
                 }
+                let parent = u32::try_from(parent)
+                    .map_err(|_| corrupt(format!("state {id} has parent {parent} (over u32)")))?;
                 parents.push(Some((parent, rule_of(r.varint()?)?)));
             }
         }
@@ -714,12 +718,15 @@ impl Checkpoint {
             deadlocks: self.deadlocks.clone(),
             terminal_states: self.terminal_states,
             elapsed: self.elapsed,
-            memory_bytes: self.arena.approx_heap_bytes(),
             quarantined: self.quarantined.clone(),
             sheds: self.sheds.clone(),
             resumed_from: Some(self.arena.len()),
             ..Report::default()
         };
+        report.set_footprint(Footprint {
+            arena: self.arena.approx_heap_bytes(),
+            ..Footprint::default()
+        });
         report.rule_firings = rules
             .rule_ids()
             .iter()

@@ -69,8 +69,8 @@ mod property;
 mod report;
 
 pub use checker::{
-    CheckOptions, Exploration, ModelChecker, Prune, DEFAULT_FRONTIER_RING, DEFAULT_MEM_BUDGET,
-    DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
+    CheckOptions, Exploration, ModelChecker, ParentLink, Prune, DEFAULT_FRONTIER_RING,
+    DEFAULT_MEM_BUDGET, DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
 };
 pub use checkpoint::{
     checkpoint_path, options_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy,
@@ -89,6 +89,6 @@ pub use property::{
     boolean_property, FnProperty, InvariantProperty, Property, PropertyOutcome, SwmrProperty,
 };
 pub use report::{
-    Deadlock, DegradationAction, DegradationStep, Quarantine, ReductionSummary, Report, Step,
-    Trace, Violation,
+    Deadlock, DegradationAction, DegradationStep, Footprint, Quarantine, ReductionSummary, Report,
+    Step, Trace, Violation,
 };

@@ -246,6 +246,33 @@ impl ReductionSummary {
     }
 }
 
+/// The search's resident bytes, one figure per structure: the quantity
+/// [`crate::CheckOptions::mem_budget`] bounds, split so a run shows where
+/// its memory went. [`Report::memory_bytes`] is always [`Self::total`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The packed state store: resident payload plus the offset and
+    /// delta-base tables and spill bookkeeping (under the sharded driver,
+    /// every shard's segment plus the global id directory).
+    pub arena: usize,
+    /// The dedup fingerprint index (every shard's, when sharded).
+    pub index: usize,
+    /// BFS parent links, one per stored state.
+    pub parents: usize,
+    /// Successor counts, one per stored state.
+    pub succ_counts: usize,
+    /// The frontier queues.
+    pub frontier: usize,
+}
+
+impl Footprint {
+    /// Sum of every part.
+    #[must_use]
+    pub fn total(&self) -> usize {
+        self.arena + self.index + self.parents + self.succ_counts + self.frontier
+    }
+}
+
 /// Aggregate statistics and findings of one exploration.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
@@ -291,10 +318,12 @@ pub struct Report {
     pub rule_firings: BTreeMap<RuleId, u64>,
     /// Wall-clock exploration time.
     pub elapsed: Duration,
-    /// Resident bytes of the packed state store at the end of the search
-    /// (payload + offset table) — the figure the memory budget bounds and
-    /// the bench snapshot's `bytes_per_state` divides.
+    /// Resident bytes of the search at its end — the figure the memory
+    /// budget bounds and the benchmarks' `bytes_per_state` divides. Equal
+    /// to `footprint.total()`.
     pub memory_bytes: usize,
+    /// [`Self::memory_bytes`] split per structure.
+    pub footprint: Footprint,
     /// Reduction statistics, when a reducer was installed. Note that a
     /// reduced report's `states`/`transitions` count *representatives*,
     /// not raw states, and violation traces are in canonical coordinates
@@ -372,6 +401,13 @@ impl Report {
         self.rule_firings.iter().map(|(id, n)| (id.name(), *n)).collect()
     }
 
+    /// Record the end-of-search footprint: the per-structure parts and
+    /// their total in [`Self::memory_bytes`].
+    pub fn set_footprint(&mut self, footprint: Footprint) {
+        self.footprint = footprint;
+        self.memory_bytes = footprint.total();
+    }
+
     /// Mean distinct states stored per second of wall time (0.0 for a
     /// zero-duration run).
     #[must_use]
@@ -385,6 +421,10 @@ impl Report {
     }
 }
 
+fn kib(bytes: usize) -> f64 {
+    bytes as f64 / 1024.0
+}
+
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -395,12 +435,18 @@ impl fmt::Display for Report {
         writeln!(
             f,
             "violations: {}  deadlocks: {}  elapsed: {:?}  throughput: {:.0} states/s  \
-             state store: {:.1} KiB{}{}",
+             footprint: {:.1} KiB (arena {:.1}  index {:.1}  parents {:.1}  \
+             succ counts {:.1}  frontier {:.1}){}{}",
             self.violations.len(),
             self.deadlocks.len(),
             self.elapsed,
             self.mean_states_per_sec(),
-            self.memory_bytes as f64 / 1024.0,
+            kib(self.memory_bytes),
+            kib(self.footprint.arena),
+            kib(self.footprint.index),
+            kib(self.footprint.parents),
+            kib(self.footprint.succ_counts),
+            kib(self.footprint.frontier),
             if self.truncated_by_memory { " (memory budget exhausted)" } else { "" },
             if self.truncated_by_time { " (time budget exhausted)" } else { "" }
         )?;
@@ -578,22 +624,31 @@ reduction: symmetry(|G| = 6, 1 classes) + data-symmetry(2 pinned) + por(wide)
     #[test]
     fn summary_block_pins_elapsed_and_throughput() {
         // Snapshot of the second summary line: elapsed wall time and mean
-        // states/sec ride next to the verdict counts. Pinned exactly so a
-        // format regression (or a silently dropped rate) fails loudly.
-        let r = Report {
+        // states/sec ride next to the verdict counts, then the footprint
+        // split per structure. Pinned exactly so a format regression (or
+        // a silently dropped rate) fails loudly.
+        let mut r = Report {
             states: 1000,
             transitions: 4000,
             depth: 7,
             terminal_states: 3,
             elapsed: Duration::from_secs(2),
-            memory_bytes: 2048,
             ..Report::default()
         };
+        r.set_footprint(Footprint {
+            arena: 1024,
+            index: 512,
+            parents: 256,
+            succ_counts: 128,
+            frontier: 128,
+        });
+        assert_eq!(r.memory_bytes, 2048);
         let text = r.to_string();
         assert!(
             text.contains(
                 "violations: 0  deadlocks: 0  elapsed: 2s  throughput: 500 states/s  \
-                 state store: 2.0 KiB\n"
+                 footprint: 2.0 KiB (arena 1.0  index 0.5  parents 0.2  succ counts 0.1  \
+                 frontier 0.1)\n"
             ),
             "summary line drifted from the pinned format:\n{text}"
         );
