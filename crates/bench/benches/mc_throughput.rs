@@ -17,9 +17,7 @@
 //! The wider rows (`optimized_n3`, `optimized_n4`) explore 3- and
 //! 4-device workloads with the sequential optimized pipeline — the N = 4
 //! row exists because the packed arena is what makes 4-device sweeps
-//! routinely affordable. `noring_n3` re-runs the N = 3 workload with the
-//! decoded-frontier ring disabled (`frontier_ring: 0`), so its gap to
-//! `optimized_n3` is the ring's measured win. `telemetry_n3` re-runs it
+//! routinely affordable. `telemetry_n3` re-runs the N = 3 workload
 //! with the metrics recorder attached (JSONL sink, heartbeat off); its
 //! interleaved gap to `optimized_n3` is the recorder's overhead,
 //! recorded in the row's `telemetry_overhead_pct`. `sharded_mt` runs the
@@ -178,15 +176,6 @@ fn sharded_checker() -> ModelChecker {
     )
 }
 
-/// The `noring_n3` row's checker: the sequential N = 3 pipeline with the
-/// decoded-frontier ring disabled — the control measuring the ring's win.
-fn noring_checker_n3() -> ModelChecker {
-    ModelChecker::with_options(
-        Ruleset::with_devices(ProtocolConfig::strict(), 3),
-        CheckOptions { frontier_ring: 0, ..CheckOptions::default() },
-    )
-}
-
 /// The `telemetry_n3` row's checker: the sequential N = 3 pipeline with
 /// the metrics recorder attached (JSONL sink, heartbeat off) — its gap
 /// to `optimized_n3`, measured interleaved, is the recorder's overhead
@@ -324,7 +313,7 @@ fn interleaved_overhead_pct(iters: u32, mut a: impl FnMut(), mut b: impl FnMut()
     (ratios[ratios.len() / 2] - 1.0) * 100.0
 }
 
-/// The shard columns of a row that ran the unsharded driver.
+/// The shard columns of a row that ran with one shard.
 const UNSHARDED: (usize, u64, f64) = (1, 0, 0.0);
 
 /// The store columns (`delta_ratio`, `spilled_extents`, `faulted_extents`)
@@ -483,10 +472,6 @@ fn bench(c: &mut Criterion) {
         let sharded = sharded_checker();
         b.iter(|| black_box(sharded.check(init, &[])));
     });
-    g.bench_with_input(BenchmarkId::new("noring_n3", WORKLOAD_N3), &init3, |b, init| {
-        let noring3 = noring_checker_n3();
-        b.iter(|| black_box(noring3.check(init, &[])));
-    });
     g.bench_with_input(BenchmarkId::new("telemetry_n3", WORKLOAD_N3), &init3, |b, init| {
         let tel3 = telemetry_checker_n3(&telemetry_scratch_file());
         b.iter(|| black_box(tel3.check(init, &[])));
@@ -621,12 +606,6 @@ fn bench(c: &mut Criterion) {
         let r = sharded.check(&init, &[]);
         (r.states, r.transitions)
     });
-    // The ring-disabled N = 3 control row (see noring_checker_n3).
-    let noring3 = noring_checker_n3();
-    let (x_states, x_trans, x_best, x_rss) = best_of(iters, || {
-        let r = noring3.check(&init3, &[]);
-        (r.states, r.transitions)
-    });
     // The recorder-attached N = 3 row (see telemetry_checker_n3). Its
     // overhead figure comes from an interleaved pairing against the
     // recorder-off pipeline, not from two rows timed apart.
@@ -659,11 +638,6 @@ fn bench(c: &mut Criterion) {
     assert_eq!((n_states, n_trans), (o_states, o_trans), "pipelines must agree");
     assert_eq!((n_states, n_trans), (p_states, p_trans), "pipelines must agree");
     assert_eq!((n_states, n_trans), (s_states, s_trans), "pipelines must agree");
-    assert_eq!(
-        (t_states, t_trans),
-        (x_states, x_trans),
-        "the frontier ring must not perturb the search"
-    );
     assert!(t_states > n_states, "the 3-device space must dwarf the 2-device one");
     assert!(q_states > t_states, "the 4-device space must dwarf the 3-device one");
     assert_eq!(
@@ -1014,21 +988,6 @@ fn bench(c: &mut Criterion) {
             s_states,
             PLAIN_STORE,
         ),
-        snapshot_row(
-            "noring_n3",
-            WORKLOAD_N3,
-            3,
-            1,
-            x_states,
-            x_trans,
-            x_best,
-            mem3,
-            x_rss,
-            UNSHARDED,
-            "none",
-            x_states,
-            PLAIN_STORE,
-        ),
         {
             let mut row = snapshot_row(
                 "telemetry_n3",
@@ -1081,10 +1040,8 @@ fn bench(c: &mut Criterion) {
              optimized_n3 is the resilience layer's overhead; sharded_mt runs \
              the shard-owned parallel driver with threads = shards = 2 — its \
              routed_messages and shard_imbalance_pct columns record the \
-             fingerprint routing; noring_n3 re-runs the optimized_n3 workload \
-             with the decoded-frontier ring disabled (frontier_ring: 0), so \
-             its gap to optimized_n3 is the ring's measured win; telemetry_n3 \
-             re-runs it with the metrics recorder attached (JSONL sink, \
+             fingerprint routing; telemetry_n3 re-runs the optimized_n3 \
+             workload with the metrics recorder attached (JSONL sink, \
              heartbeat off) and carries telemetry_overhead_pct, the \
              interleaved on-vs-off wall-time cost (0.0 on rows that made no \
              such measurement); every row carries dedup_hit_rate, duplicates \
@@ -1110,7 +1067,7 @@ fn bench(c: &mut Criterion) {
     for (pipeline, ratio) in &snapshot.speedup_vs_baseline {
         println!("speedup vs naive [{pipeline}]: {ratio:.2}x");
     }
-    // The three headline ratios are re-timed as interleaved pairs (see
+    // The headline ratios are re-timed as interleaved pairs (see
     // `interleaved_best`): the snapshot rows above keep the per-row
     // best-of-N figures, but a *ratio* of two rows timed minutes apart
     // is dominated by host-load drift, not by the pipelines.
@@ -1126,19 +1083,6 @@ fn bench(c: &mut Criterion) {
     println!(
         "checkpoint overhead [N=3, default interval]: {:+.2}%",
         (rt_c.as_secs_f64() / rt_t.as_secs_f64() - 1.0) * 100.0
-    );
-    let (rr_t, rr_x) = interleaved_best(
-        iters.max(8),
-        || {
-            black_box(opt3.check(&init3, &[]).states);
-        },
-        || {
-            black_box(noring3.check(&init3, &[]).states);
-        },
-    );
-    println!(
-        "frontier ring win [N=3, ring off vs on]: {:+.2}%",
-        (rr_x.as_secs_f64() / rr_t.as_secs_f64() - 1.0) * 100.0
     );
     // Per-thread efficiency normalizes by the parallelism the host can
     // actually grant: on a one-core runner two workers timeshare one

@@ -55,8 +55,7 @@ pub struct ThroughputRow {
     /// memory already touched by earlier rows; 0.0 where `/proc` is
     /// unavailable.
     pub rss_delta_mb: f64,
-    /// Dedup/store shards the row ran with (1 = the sequential driver's
-    /// single visited set).
+    /// Dedup/store shards the row ran with (1 = a single visited set).
     pub shards: usize,
     /// Successor messages routed through `shard_of(fingerprint, shards)` (0 for
     /// unsharded rows).

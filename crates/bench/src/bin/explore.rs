@@ -116,8 +116,8 @@
 //! fingerprint-routed, worker-owned shard per thread — dedup and
 //! insertion run lock-free inside the owning shard, with results
 //! bit-identical to a single-threaded run. `--shards N` forces a shard
-//! count (N > 1 engages the sharded driver even at `--threads 1`, which
-//! is how CI exercises the routed layout deterministically on one
+//! count (N > 1 routes successors between shards even at `--threads 1`,
+//! which is how CI exercises the routed layout deterministically on one
 //! core). The report prints the shard count, routed message total, and
 //! load imbalance when more than one shard ran.
 

@@ -1116,24 +1116,6 @@ impl Ruleset {
         scratch: &mut SystemState,
         mut f: impl FnMut(RuleId, &SystemState),
     ) {
-        self.for_each_enabled_mut(state, scratch, |id, succ| f(id, succ));
-    }
-
-    /// [`Self::for_each_enabled`] with a mutable borrow of the successor:
-    /// the callback may *take* the fired state — typically by
-    /// `mem::swap`ping a spare allocated state in — instead of cloning
-    /// it. Safe because every rule's fire function rebuilds its output
-    /// from the source state (`clone_from`) before mutating, so the
-    /// scratch's contents between firings are irrelevant; the swapped-in
-    /// replacement only needs to be *some* allocated state of the same
-    /// topology. This is what lets the sequential checker's
-    /// decoded-frontier ring capture successors at zero cost.
-    pub fn for_each_enabled_mut(
-        &self,
-        state: &SystemState,
-        scratch: &mut SystemState,
-        mut f: impl FnMut(RuleId, &mut SystemState),
-    ) {
         self.assert_same_topology(state);
         let mut candidates = [0u16; CANDIDATE_CAP];
         let n = self.gather_candidates(state, &mut candidates);

@@ -35,31 +35,24 @@
 //! - **No terminal rescan** — per-state successor counts are recorded
 //!   during forward expansion, so terminal states (and deadlocks) fall out
 //!   of the BFS itself.
-//! - **A decoded-frontier ring** — both drivers keep up to
-//!   [`CheckOptions::frontier_ring`] of the current BFS level's states
-//!   *decoded* in boxed slots (each stolen from the firing scratch by a
-//!   `mem::swap` the moment its bytes are stored — no re-fire, no
-//!   clone; every later hand-off moves a pointer), so most expansions
-//!   swap a ready state in instead of re-parsing the packed encoding.
-//!   The ring is bounded, invisible in the results, and shed for the
-//!   rest of the run by the degradation ladder's first rung.
-//! - **Shard-owned parallel search** — with `threads > 1` (or
-//!   [`CheckOptions::shards`] set) the driver switches to actor-style
-//!   sharded ownership: the fingerprint space is partitioned into S
-//!   shards, each owning a private [`cxl_core::FpIndex`] + arena
-//!   segment. Expansion still uses the persistent worker pool and its
-//!   packed-bytes chunk protocol (workers live for the whole search
-//!   inside one [`std::thread::scope`]); every successor is then routed
-//!   to its owning shard ([`cxl_core::shard_of`], high fingerprint bits) and
-//!   deduped *inside* that shard — shard state moves wholesale through
-//!   the job queue, so insertion is lock-free single-owner mutation with
-//!   no shared visited set. Equal states always carry equal bytes, hence
-//!   equal fingerprints, hence the same owner: cross-shard duplicates
-//!   are impossible. A BFS-level commit barrier assigns global ids in
-//!   the sequential driver's exact (frontier order × successor order)
-//!   discovery order, so reports, traces, checkpoints, and the merged
-//!   arena are bit-identical to a sequential run. Property checking over
-//!   freshly discovered states uses the same pool.
+//! - **One driver, shard-owned storage** — every search runs the same
+//!   level loop over a store of S shards (one per worker thread unless
+//!   [`CheckOptions::shards`] says otherwise), each owning a private
+//!   [`cxl_core::FpIndex`] + arena segment. Every successor is routed to
+//!   its owning shard ([`cxl_core::shard_of`], high fingerprint bits)
+//!   and deduped *inside* that shard. Equal states always carry equal
+//!   bytes, hence equal fingerprints, hence the same owner: cross-shard
+//!   duplicates are impossible. Wide levels fan expansion, dedup and
+//!   property checks out over a persistent worker pool (workers live
+//!   for the whole search inside one [`std::thread::scope`]; shard
+//!   state moves wholesale through the job queue, so insertion is
+//!   lock-free single-owner mutation). Narrow levels and single-threaded
+//!   runs expand and merge in one fused pass on the calling thread. A
+//!   BFS-level commit barrier assigns global ids in (frontier order ×
+//!   successor order) discovery order whatever S and the thread count,
+//!   so reports, traces, checkpoints, and the returned arena are
+//!   bit-identical across both. With one shard the store keeps no
+//!   directory: global ids are slots of the lone segment.
 //!
 //! A [`CheckOptions::mem_budget`] bounds the packed store: when the arena
 //! outgrows it the search truncates cleanly (like `max_states`) instead
@@ -137,30 +130,15 @@ pub struct CheckOptions {
     /// [`ModelChecker::explore_resumed`] picks such a run back up.
     /// `None` disables checkpointing.
     pub checkpoint: Option<CheckpointPolicy>,
-    /// Number of dedup/store shards for the sharded driver. `None`
-    /// (the default) means auto: one shard per worker thread. With more
-    /// than one effective shard the search runs fingerprint-routed
-    /// shard-owned dedup even at `threads == 1` (useful for testing the
-    /// sharded layout deterministically on a single core); with
-    /// `threads <= 1` and one shard it runs the plain sequential driver.
+    /// Number of dedup/store shards. `None` (the default) means auto:
+    /// one shard per worker thread. More than one shard at
+    /// `threads == 1` routes and dedups exactly as a pooled run does,
+    /// only inline (useful for testing the sharded layout
+    /// deterministically on a single core); one shard at any thread
+    /// count keeps a single segment whose slots are the global ids.
     /// Shard count is *not* part of a checkpoint's identity: a merged
     /// checkpoint written under any shard count resumes under any other.
     pub shards: Option<usize>,
-    /// Capacity (in states) of the decoded-frontier ring, used by both
-    /// drivers: up to this many of the current BFS level's states are
-    /// kept *decoded* in boxed slots, each stolen from the firing
-    /// scratch by a `mem::swap` the moment its bytes are stored (no
-    /// re-fire, no clone), so next level's expansion swaps a ready
-    /// state in instead of re-parsing the packed encoding. Memory cost
-    /// is bounded — at most about 3 × `frontier_ring` decoded states
-    /// live at once (ring, refill, and recycled spares combined) — and
-    /// the degradation ladder's first rung sheds the ring for the rest
-    /// of the run. The ring is inactive under a reducer
-    /// (canonicalization rewrites successor bytes, so the fired state
-    /// is not the stored representative); in the sharded driver only
-    /// fused inline levels fill it (pooled levels decode on the
-    /// workers). `0` disables it.
-    pub frontier_ring: usize,
     /// Optional pruning predicate (see [`Prune`]).
     pub prune: Option<Prune>,
     /// Keyframe interval for parent-delta state storage: when > 0, each
@@ -199,7 +177,7 @@ pub struct CheckOptions {
     /// cumulative.
     pub reduction: Option<Arc<dyn Reducer>>,
     /// Optional telemetry sink (see [`cxl_telemetry::Recorder`]). When
-    /// set, both drivers hand the recorder one [`cxl_telemetry::LevelRecord`]
+    /// set, the search hands the recorder one [`cxl_telemetry::LevelRecord`]
     /// per committed BFS level, every flight-recorder event as it is
     /// pushed, and a [`cxl_telemetry::RunSummary`] at the end. All
     /// metrics are computed at level-commit barriers from counters the
@@ -228,23 +206,11 @@ pub const DEFAULT_MEM_BUDGET: usize = 1536 * 1024 * 1024;
 /// levels long before the memory-budget ladder has to truncate.
 pub const DEFAULT_SPILL_BUDGET: usize = 32 * 1024 * 1024;
 
-/// Default decoded-frontier ring capacity. The fill machinery moves
-/// boxed slots (pointer-sized hand-offs; the only struct-sized copy is
-/// the one steal swap out of the firing scratch), so per-state fill
-/// cost sits well below per-state decode cost and the ring keeps
-/// winning as it widens — measured on the 3-device reference workload,
-/// ~2048 slots captures most of the win (7–10% wall time; doubling
-/// again adds ~1% for twice the memory). The cap bounds the trade-off:
-/// at ~0.6 KiB per decoded slot and at most three live slot sets
-/// (ring, refill, spares) the ring tops out at a few MiB, and the
-/// degradation ladder's first rung sheds it entirely under memory
-/// pressure.
-pub const DEFAULT_FRONTIER_RING: usize = 2048;
-
-/// Minimum frontier width before the sharded driver ships expansion to
-/// the worker pool. A pooled phase costs a submit/wake/drain round-trip
-/// regardless of size, so levels below this run inline on the driver
-/// thread — see the phase-1 dispatch comment in `run_sharded`.
+/// Minimum frontier width before a run with a worker pool ships
+/// expansion to it. A pooled phase costs a submit/wake/drain round-trip
+/// regardless of size, so levels below this run the fused inline pass
+/// on the calling thread — see the phase-1 dispatch comment in
+/// `run_sharded`.
 const PAR_EXPAND_MIN: usize = 256;
 
 /// Minimum routed-message count before shard dedup jobs cross the pool.
@@ -264,7 +230,6 @@ impl Default for CheckOptions {
             time_budget: None,
             checkpoint: None,
             shards: None,
-            frontier_ring: DEFAULT_FRONTIER_RING,
             delta_keyframe: 0,
             spill_dir: None,
             spill_budget: None,
@@ -287,7 +252,6 @@ impl std::fmt::Debug for CheckOptions {
             .field("time_budget", &self.time_budget)
             .field("checkpoint", &self.checkpoint)
             .field("shards", &self.shards)
-            .field("frontier_ring", &self.frontier_ring)
             .field("delta_keyframe", &self.delta_keyframe)
             .field("spill_dir", &self.spill_dir)
             .field("spill_budget", &self.spill_budget)
@@ -314,6 +278,27 @@ const _: () = assert!(std::mem::size_of::<ParentLink>() == 8);
 /// The link to a stored state's BFS `parent` through `rule`.
 fn link(parent: usize, rule: RuleId) -> ParentLink {
     Some((u32::try_from(parent).expect("state ids fit u32"), rule))
+}
+
+/// Append a freshly stored state's parent link and its not-yet-expanded
+/// successor count. Once the memory ladder has shed (`frugal`), both
+/// columns grow by an eighth instead of doubling: a doubling straight
+/// after the shed would hand back the reclaimed slack at once and
+/// truncate a run whose states the budget could still hold.
+fn push_fresh(
+    parents: &mut Vec<ParentLink>,
+    succ_counts: &mut Vec<u32>,
+    link: ParentLink,
+    frugal: bool,
+) {
+    if frugal && parents.len() == parents.capacity() {
+        parents.reserve_exact(parents.len() / 8 + 1);
+    }
+    if frugal && succ_counts.len() == succ_counts.capacity() {
+        succ_counts.reserve_exact(succ_counts.len() / 8 + 1);
+    }
+    parents.push(link);
+    succ_counts.push(NOT_EXPANDED);
 }
 
 /// The outcome of expanding one frontier state inside an
@@ -353,15 +338,6 @@ struct ExpandedChunk {
     items: Vec<(RuleId, usize, u64)>,
     /// Concatenated packed (canonical) bytes of every successor.
     buf: Vec<u8>,
-    /// Stolen decoded states for a strict prefix of `items` (the
-    /// driver's decoded-frontier ring fill — see
-    /// [`CheckOptions::frontier_ring`]): `decoded[i]` is the decoded
-    /// form of `items[i]`, captured by swapping the firing scratch at
-    /// generation time. Boxed so every later hand-off (into the ring,
-    /// back to the spare pool) moves a pointer rather than a half-KiB
-    /// state. Only the driver's inline expansion steals; worker chunks
-    /// leave this empty.
-    decoded: Vec<Option<Box<SystemState>>>,
 }
 
 /// Packed shipment of arena states across the pool: ids plus their
@@ -374,7 +350,7 @@ struct StateBatch {
 }
 
 impl StateBatch {
-    fn of(ids: &[usize], store: &dyn StateStore) -> Self {
+    fn of(ids: &[usize], store: &ShardedStore) -> Self {
         let mut ends = Vec::with_capacity(ids.len());
         let mut buf = Vec::new();
         for &id in ids {
@@ -391,19 +367,6 @@ impl StateBatch {
             Some((id, bytes))
         })
     }
-}
-
-/// Outcome of merging one successor in the sequential driver — returned
-/// (rather than mutated through captures) so the call site can react
-/// without borrowing the closure's state.
-#[derive(PartialEq, Eq)]
-enum Merged {
-    /// Already stored (or transiently deduped): nothing new.
-    Duplicate,
-    /// Genuinely fresh: stored, parent-linked, queued for the next level.
-    Stored,
-    /// The transient-check path hit the violation cap — stop the level.
-    Stop,
 }
 
 /// How a search begins: from scratch, or mid-run from a validated
@@ -636,8 +599,8 @@ impl ModelChecker {
     /// exactly the interrupted run's.
     fn reconstitute(&self, cp: Checkpoint) -> Exploration {
         let mut report = cp.partial_report(&self.rules);
-        // The same presentation rule `run` applies: terminal statistics
-        // are only meaningful for complete, clean explorations.
+        // The same presentation rule the search applies: terminal
+        // statistics are only meaningful for complete, clean explorations.
         if report.truncated || !report.violations.is_empty() {
             report.terminal_states = 0;
             report.deadlocks.clear();
@@ -669,17 +632,13 @@ impl ModelChecker {
         Exploration { report, arena: cp.arena, successor_counts: cp.succ_counts }
     }
 
-    /// Pick the driver: the plain sequential search for one thread and
-    /// one shard, the shard-owned search otherwise (spinning up the
-    /// persistent worker pool when more than one thread is requested —
-    /// a single-threaded sharded run executes every shard job inline,
-    /// which makes the sharded layout testable deterministically on a
-    /// one-core host).
+    /// Run the search with the resolved shard count, spinning up the
+    /// persistent worker pool when more than one thread is requested. A
+    /// single-threaded run has no pool and executes every level inline
+    /// (whatever the shard count, which makes the sharded layout
+    /// testable deterministically on a one-core host).
     fn drive(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
         let shards = self.opts.shards.unwrap_or(self.opts.threads).max(1);
-        if self.opts.threads <= 1 && shards <= 1 {
-            return self.run(start, props);
-        }
         if self.opts.threads <= 1 {
             return self.run_sharded(start, props, shards, None);
         }
@@ -716,15 +675,52 @@ impl ModelChecker {
     }
 
     // -----------------------------------------------------------------
-    // The optimized sequential search.
+    // The search.
     // -----------------------------------------------------------------
 
+    /// The search: fingerprint-routed, shard-owned dedup with a
+    /// BFS-level commit barrier, over `shards` shards and an optional
+    /// worker pool.
+    ///
+    /// Without a pool (one thread), or for a level too narrow to pay for
+    /// one, the level runs as one fused pass: each frontier state is
+    /// expanded and its successors merged at once, in (frontier order ×
+    /// successor order). A pooled level runs four phases:
+    ///
+    /// 1. **Expand** the frontier over the worker pool's chunk protocol,
+    ///    in frontier order — the same successor stream as the fused
+    ///    pass.
+    /// 2. **Route**: every successor gets a global sequence number in
+    ///    (frontier order × successor order) and its packed-bytes message
+    ///    goes to the inbox of its owning shard ([`shard_of`]).
+    /// 3. **Dedup**: each shard's inbox is processed by one worker that
+    ///    temporarily *owns* the shard's private `FpIndex` + arena
+    ///    segment (ownership moves through the job queue), so probe,
+    ///    insert, and append are lock-free. Equal states always route to
+    ///    the same shard, so this dedup is globally complete.
+    /// 4. **Commit**: fresh states from all shards are merged by global
+    ///    sequence number, assigning discovery-order global ids — the
+    ///    fused pass's exact order, making reports, traces, checkpoints,
+    ///    and the returned arena bit-identical.
+    ///
+    /// Truncation semantics (the over-cap transient tail, per-state stop
+    /// points, the memory ladder's mid-level rungs) are inherently
+    /// sequential, so a pooled level that *could* cross `max_states` or
+    /// approach the memory budget falls back to a serial merge with the
+    /// fused pass's exact per-successor rules.
     #[allow(clippy::too_many_lines)]
-    fn run(&self, start: Start<'_>, props: &[&dyn Property]) -> Exploration {
+    fn run_sharded(
+        &self,
+        start: Start<'_>,
+        props: &[&dyn Property],
+        shards: usize,
+        pool: Option<&LazyPool<'_, '_>>,
+    ) -> Exploration {
         let start_time = Instant::now();
         let mut report = Report::default();
         let codec = StateCodec::new(self.rules.topology());
         let reducer = self.opts.reduction.as_deref();
+        let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
         // Telemetry: the flight ring runs unconditionally (a handful of
         // pushes per level); the phase clock and level records exist only
         // with a recorder installed — everything they report is derived
@@ -733,19 +729,13 @@ impl ModelChecker {
         let mut clock = PhaseClock::new(recorder.is_some());
         let mut flight = FlightRing::new(self.opts.flight_events);
         let mut phase_total = PhaseNanos::default();
-        // Symmetry-reducing runs must explore the equivariant successor
-        // relation (one successor per matching peer of the host's
-        // collection rules) — orbit-representative search over the
-        // lowest-peer determinisation would not cover every orbit.
-        let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
 
-        // Canonical store: packed bytes + offset table, plus parent links
-        // for trace rebuilding and per-state successor counts (recorded
-        // at expansion time).
-        let mut arena = StateArena::new(codec);
+        // The store (packed segments + dedup indexes), parent links for
+        // trace rebuilding, and per-state successor counts (recorded at
+        // expansion time).
+        let mut store: ShardedStore;
         let mut parents: Vec<ParentLink> = Vec::new();
         let mut succ_counts: Vec<u32> = Vec::new();
-        let mut index = FpIndex::new();
 
         // Side arena for over-cap states checked transiently after
         // truncation, so a state reached twice in the truncated tail is
@@ -758,49 +748,16 @@ impl ModelChecker {
         // once at the end, so the hot loop does one array increment per
         // transition instead of a map operation.
         let mut firings = vec![0u64; self.rules.rule_ids().len()];
+        let mut routed_messages: u64 = 0;
 
-        // Reused working buffers for the sequential driver: the decoded
-        // frontier state, the rule-firing scratch successor, the
-        // per-successor encoding buffer (canonicalization may change the
-        // encoding's *length* under value renumbering, so successors are
-        // staged here before being appended to the batch buffer), the
-        // per-frontier-state batch buffer + successor metadata, and the
-        // canonicalization assembly buffer. All stop allocating once
-        // grown to the workload's high-water mark — the
-        // duplicate-successor path is then allocation-free up to the
-        // reducer's own small value-renumbering scratch. `cur` is boxed
-        // so a ring hit (below) replaces the whole decoded state with
-        // one pointer swap instead of a struct-sized one.
-        let mut cur = Box::new(codec.blank());
+        // Scratch for inline expansion and terminal/deadlock decoding:
+        // the decoded frontier state, the rule-firing scratch successor,
+        // and the canonicalization buffers. All stop allocating once
+        // grown to the workload's high-water mark.
+        let mut cur = codec.blank();
         let mut fire_scratch = codec.blank();
-        let mut succ_buf: Vec<u8> = Vec::new();
-        let mut enc_buf: Vec<u8> = Vec::new();
-        let mut succ_meta: Vec<(RuleId, usize, u64)> = Vec::new();
+        let mut enc_scratch: Vec<u8> = Vec::new();
         let mut canon_scratch: Vec<u8> = Vec::new();
-
-        // The decoded-frontier ring: `ring[i]` is the decoded form of
-        // `frontier[i]` for a prefix of the level, so expansion swaps a
-        // ready state into `cur` instead of decoding from the arena.
-        // `ring_next` is filled as states are stored: each successor is
-        // *captured* from the firing scratch at generation time
-        // (`clone_from` into a recycled spare slot, reusing its heap
-        // blocks — the captured state is the very state whose bytes
-        // were encoded, so the ring is invisible in the results and the
-        // fill costs no re-firing and no decode). `pending[i]` stages
-        // the captured successor of `succ_meta[i]` between expansion
-        // and merge; duplicates are recycled into `spare`, so steady
-        // state allocates nothing. Slots are boxed: every hand-off —
-        // pending → ring_next → ring → spare — moves a pointer, not a
-        // half-KiB state, which is what lets the fill machinery cost
-        // less than the decodes it saves. Inactive under a reducer:
-        // canonicalization rewrites successor bytes, so the fired state
-        // is not the stored representative.
-        let ring_cap = if self.opts.reduction.is_none() { self.opts.frontier_ring } else { 0 };
-        let mut ring_on = ring_cap > 0;
-        let mut ring: Vec<Box<SystemState>> = Vec::new();
-        let mut ring_next: Vec<Box<SystemState>> = Vec::new();
-        let mut spare: Vec<Box<SystemState>> = Vec::new();
-        let mut pending: Vec<Option<Box<SystemState>>> = Vec::new();
 
         let mut frontier: Vec<usize>;
         let mut depth: usize;
@@ -817,1009 +774,7 @@ impl ModelChecker {
                 // renumber its program operands into canonical tokens).
                 // Orbit reduction does not require the root to be a
                 // canonical form — only successors are rewritten.
-                codec.encode_into(initial, &mut enc_buf);
-                arena.push_encoded(&enc_buf);
-                let init_fp = StateCodec::fingerprint(arena.bytes_of(0));
-                parents.push(None);
-                succ_counts.push(NOT_EXPANDED);
-                index.insert(init_fp, 0, |_| unreachable!("empty index"));
-                self.check_state(0, &arena, &parents, props, &mut report);
-                frontier = vec![0];
-                depth = 0;
-            }
-            Start::Resume(cp) => {
-                // Re-enter the loop at the checkpoint's level boundary:
-                // levels 0..depth fully expanded, frontier = level
-                // `depth`. Everything below reproduces the writing run's
-                // algorithm state exactly.
-                let cp = *cp;
-                arena = cp.arena;
-                parents = cp.parents;
-                succ_counts = cp.succ_counts;
-                firings = cp.firings;
-                index = FpIndex::with_capacity(arena.len());
-                // Re-index every checkpointed state. Dedup answers depend
-                // only on which states are indexed, not on where the
-                // table places them, so the rebuilt index (sized once,
-                // never grown) behaves exactly like the writing run's.
-                for (i, &fp) in cp.fps.iter().enumerate() {
-                    let candidate = u32::try_from(i).expect("state count fits u32");
-                    index.insert(fp, candidate, |id| {
-                        arena.bytes_of(id as usize) == arena.bytes_of(i)
-                    });
-                }
-                frontier = cp.frontier;
-                depth = cp.depth;
-                elapsed_offset = cp.elapsed;
-                report.transitions = cp.transitions;
-                report.terminal_states = cp.terminal_states;
-                report.depth = depth;
-                report.violations = cp.violations;
-                report.deadlocks = cp.deadlocks;
-                report.quarantined = cp.quarantined;
-                report.sheds = cp.sheds;
-                report.resumed_from = Some(arena.len());
-                if let (Some(r), Some(stats)) = (reducer, cp.reduction_stats) {
-                    r.restore_stats(stats);
-                }
-                // The black box survives the crash: the checkpointed ring
-                // seeds this session's, sequence numbers keep counting,
-                // and the resume itself becomes the first new event.
-                flight = FlightRing::restore(self.opts.flight_events, cp.flight);
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::Resume,
-                    depth as u64,
-                    arena.len() as u64,
-                    "",
-                );
-            }
-        }
-
-        // Arm the store's beyond-RAM layers *after* the start match: a
-        // resumed checkpoint reconstitutes (and index-rebuilds over) a
-        // plain arena, whose entries then simply become eligible
-        // keyframe bases. Both layers are storage-only — dedup, traces,
-        // checkpoints, and reduction all see materialized full bytes —
-        // so arming them never changes results.
-        if self.opts.delta_keyframe > 0 {
-            arena.enable_delta(self.opts.delta_keyframe);
-        }
-        if let Some(dir) = &self.opts.spill_dir {
-            // A spill dir that cannot be created degrades to a fully
-            // resident store: the memory ladder still guards the run.
-            let _ = arena.enable_spill(dir, "main");
-        }
-        let spill_watermark = self.opts.spill_budget.unwrap_or(DEFAULT_SPILL_BUDGET);
-
-        let ckpt = self.opts.checkpoint.as_ref();
-        let ckpt_fingerprint = ckpt.map(|_| {
-            let describe = reducer.map(|r| r.describe());
-            let mut init = Vec::new();
-            arena.append_full_bytes(0, &mut init);
-            options_fingerprint(&self.rules, describe.as_deref(), &init)
-        });
-        let mut last_checkpoint = Instant::now();
-        let mut ckpt_bufs = CheckpointBuffers::default();
-        // Does the stop point land on a BFS level boundary (making the
-        // final checkpoint exactly resumable)? True for the time/depth
-        // watchdogs and natural completion; false for mid-level stops.
-        let mut stopped_at_boundary = false;
-        // A `Cell` so the mid-merge shed (inside the merge closure) is
-        // observable by the ring logic outside it without a borrow clash.
-        let shed_done = Cell::new(false);
-        let mut emergency_done = false;
-
-        // Level-boundary telemetry baselines: records carry *deltas* of
-        // these cumulative counters, so a resumed session's stream picks
-        // up exactly where the interrupted one's left off and the two sum
-        // to an uninterrupted run's totals.
-        let mut prev_transitions = report.transitions;
-        let mut prev_sheds = report.sheds.len();
-        let mut prev_quarantined = report.quarantined.len();
-        let mut prev_violations = report.violations.len();
-        let mut prev_sealed = arena.spilled_extents();
-        let mut prev_faulted = arena.faulted_extents();
-        let mut prev_reduction = reducer.map(|r| r.stats());
-        let mut level_started = Instant::now();
-
-        'outer: while !frontier.is_empty() {
-            if let Some(md) = self.opts.max_depth {
-                if depth >= md {
-                    report.truncated = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
-            }
-            // The time-budget watchdog: checked once per level, so a
-            // stop always lands on a resumable boundary with a valid
-            // partial report.
-            if let Some(tb) = self.opts.time_budget {
-                if elapsed_offset + start_time.elapsed() >= tb {
-                    report.truncated = true;
-                    report.truncated_by_time = true;
-                    stopped_at_boundary = true;
-                    break;
-                }
-            }
-            // Graceful-degradation ladder, walked at level boundaries
-            // while every structure is still coherent. Rung 1 (≥ 80% of
-            // the budget): shed capacity slack and transient buffers.
-            if let Some(budget) = self.opts.mem_budget {
-                // The decoded ring counts against the budget too — its
-                // memory win (skipped decodes) must only be traded back
-                // within bounds, so the first rung sheds it for the rest
-                // of the run.
-                let ring_states = ring.len() + ring_next.len() + spare.len();
-                let ring_bytes = ring_states
-                    * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
-                let before = ring_bytes
-                    + search_footprint(
-                        arena_bytes(&arena, &index),
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    )
-                    .total();
-                if !shed_done.get() && before.saturating_mul(10) >= budget.saturating_mul(8) {
-                    shed_done.set(true);
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
-                    // With a spill dir armed the shed rung also seals
-                    // every level below the frontier to disk — reclaimed
-                    // payload folds into this step's `reclaimed` figure.
-                    // The seal boundary is the frontier's lowest
-                    // keyframe-chain root, not its lowest id, so
-                    // expanding the frontier never faults an extent.
-                    if arena.spill_armed() {
-                        let floor = frontier
-                            .iter()
-                            .map(|&id| arena.decode_floor(id))
-                            .min()
-                            .unwrap_or_else(|| arena.len());
-                        let _ = arena.spill_cold(floor);
-                    }
-                    arena.shrink_to_fit();
-                    index.shrink_to_fit();
-                    parents.shrink_to_fit();
-                    succ_counts.shrink_to_fit();
-                    frontier.shrink_to_fit();
-                    transient.clear_and_release();
-                    transient_index = FpIndex::new();
-                    enc_buf = Vec::new();
-                    succ_buf = Vec::new();
-                    succ_meta = Vec::new();
-                    canon_scratch = Vec::new();
-                    let after = search_footprint(
-                        arena_bytes(&arena, &index),
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    )
-                    .total();
-                    report.sheds.push(DegradationStep {
-                        action: DegradationAction::ShedBuffers {
-                            reclaimed: before.saturating_sub(after),
-                        },
-                        at_states: arena.len(),
-                        footprint: after,
-                    });
-                }
-                // Rung 2 (≥ 90%): one emergency checkpoint while the
-                // search state is still serializable.
-                if !emergency_done && before.saturating_mul(10) >= budget.saturating_mul(9) {
-                    if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
-                        emergency_done = true;
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::EmergencyCheckpoint,
-                            at_states: arena.len(),
-                            footprint: before,
-                        });
-                        let t = clock.tick();
-                        flight_note(
-                            &mut flight,
-                            recorder,
-                            FlightKind::CheckpointWrite,
-                            depth as u64,
-                            arena.len() as u64,
-                            "",
-                        );
-                        write_checkpoint(
-                            &self.rules,
-                            &policy.dir,
-                            &mut ckpt_bufs,
-                            fp,
-                            true,
-                            depth,
-                            elapsed_offset + start_time.elapsed(),
-                            &arena,
-                            &parents,
-                            &succ_counts,
-                            &frontier,
-                            &firings,
-                            &report,
-                            reducer.map(|r| r.stats()),
-                            &flight.events(),
-                        );
-                        clock.tock(Phase::Checkpoint, t);
-                        last_checkpoint = Instant::now();
-                    }
-                }
-            }
-            // Proactive cold-extent spill: once the resident payload
-            // outgrows the watermark, seal every completed level (all
-            // ids below the current frontier — fully expanded, touched
-            // again only by traces, quarantine dumps, or stale dedup
-            // probes) and drop it from RAM. The frontier itself stays
-            // resident for the coming expansion.
-            if arena.spill_armed() && arena.resident_payload_bytes() > spill_watermark {
-                let t = clock.tick();
-                let floor = frontier
-                    .iter()
-                    .map(|&id| arena.decode_floor(id))
-                    .min()
-                    .unwrap_or_else(|| arena.len());
-                let _ = arena.spill_cold(floor);
-                clock.tock(Phase::Spill, t);
-            }
-            // Periodic checkpoint: at the first boundary after each
-            // `every` interval (a zero interval checkpoints every level).
-            if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
-                if last_checkpoint.elapsed() >= policy.every {
-                    let t = clock.tick();
-                    // Pushed *before* encoding, so the checkpoint file on
-                    // disk carries its own write event — a resumed run's
-                    // flight recorder then shows the very write it came
-                    // back from.
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::CheckpointWrite,
-                        depth as u64,
-                        arena.len() as u64,
-                        "",
-                    );
-                    write_checkpoint(
-                        &self.rules,
-                        &policy.dir,
-                        &mut ckpt_bufs,
-                        fp,
-                        true,
-                        depth,
-                        elapsed_offset + start_time.elapsed(),
-                        &arena,
-                        &parents,
-                        &succ_counts,
-                        &frontier,
-                        &firings,
-                        &report,
-                        reducer.map(|r| r.stats()),
-                        &flight.events(),
-                    );
-                    clock.tock(Phase::Checkpoint, t);
-                    last_checkpoint = Instant::now();
-                }
-            }
-
-            // Phases 1+2: expand the frontier and merge — dedupe by
-            // fingerprint with byte-equality fallback, link parents,
-            // count firings, record per-state successor counts, detect
-            // terminals. A frontier state that expands to zero successors
-            // is terminal; frontier order is discovery order, so deadlock
-            // traces come out in the order the naive rescan produced.
-            // Once `max_states` (or the memory budget) is reached no
-            // further states are stored, but the remainder of the batch
-            // is still deduped and property-checked transiently, so a
-            // violation inside the truncated batch is reported rather
-            // than silently dropped.
-            //
-            // The sequential driver merges straight out of the reused
-            // encoding buffer (one arena append per stored state); the
-            // parallel driver merges the pool's chunk results in
-            // deterministic frontier order.
-            let mut new_indices = Vec::new();
-            let frontier_slots = frontier.capacity();
-            // Is this level's ring prefix still growing? Cleared the
-            // first time a stored state cannot enter `ring_next` (no
-            // stolen slot, or the ring is full) — `ring_next[j]` must
-            // stay aligned with `new_indices[j]`, so once one stored
-            // state is skipped, none after it may be admitted.
-            let mut filling = ring_on;
-            let mut merge = |parent: usize,
-                             rule: RuleId,
-                             encoded: &[u8],
-                             fp: u64,
-                             arena: &mut StateArena,
-                             parents: &mut Vec<ParentLink>,
-                             succ_counts: &mut Vec<u32>,
-                             report: &mut Report|
-             -> Merged {
-                firings[self.rules.dense_index(rule)] += 1;
-                report.transitions += 1;
-                if report.truncated {
-                    // Over-cap tail: dedup against both the stored arena
-                    // (read-only probe) and the transient side arena,
-                    // then property-check genuinely new states once.
-                    let known =
-                        index.probe(fp, |id| arena.entry_matches(id as usize, encoded)).is_some();
-                    if !known {
-                        let candidate =
-                            u32::try_from(transient.len()).expect("state count fits u32");
-                        let seen = transient_index
-                            .insert(fp, candidate, |id| {
-                                transient.bytes_of(id as usize) == encoded
-                            })
-                            .is_some();
-                        if !seen {
-                            transient.push_encoded(encoded);
-                            let succ = transient.decode(transient.len() - 1);
-                            self.check_transient(
-                                parent, rule, &succ, arena, parents, props, report,
-                            );
-                            if report.violations.len() >= self.opts.max_violations
-                                && !report.violations.is_empty()
-                            {
-                                return Merged::Stop;
-                            }
-                        }
-                    }
-                    return Merged::Duplicate;
-                }
-                let candidate = u32::try_from(arena.len()).expect("state count fits u32");
-                if index
-                    .insert(fp, candidate, |id| arena.entry_matches(id as usize, encoded))
-                    .is_some()
-                {
-                    return Merged::Duplicate;
-                }
-                // Stored as a parent-delta when armed and profitable —
-                // the BFS parent lives in this same arena, one decode
-                // chain link away.
-                arena.push_encoded_delta(encoded, Some(parent as u32));
-                parents.push(link(parent, rule));
-                succ_counts.push(NOT_EXPANDED);
-                new_indices.push(candidate as usize);
-                if arena.len() >= self.opts.max_states {
-                    report.truncated = true;
-                }
-                if let Some(budget) = self.opts.mem_budget {
-                    // The hard rung: the full resident footprint —
-                    // arena, dedup index, parent links, successor
-                    // counts, and both frontier queues — against the
-                    // budget, not just the arena.
-                    let mut footprint = search_footprint(
-                        arena_bytes(arena, &index),
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier_slots + new_indices.capacity(),
-                    )
-                    .total();
-                    // A fast-growing level can blow through the 80%
-                    // boundary rung and the budget in one stride; shed
-                    // the capacity slack reachable from here before
-                    // giving up, so truncation is always the ladder's
-                    // *last* step.
-                    if !shed_done.get()
-                        && footprint.saturating_mul(10) >= budget.saturating_mul(8)
-                    {
-                        shed_done.set(true);
-                        arena.shrink_to_fit();
-                        index.shrink_to_fit();
-                        parents.shrink_to_fit();
-                        succ_counts.shrink_to_fit();
-                        let after = search_footprint(
-                            arena_bytes(arena, &index),
-                            parents.capacity(),
-                            succ_counts.capacity(),
-                            frontier_slots + new_indices.capacity(),
-                        )
-                        .total();
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::ShedBuffers {
-                                reclaimed: footprint.saturating_sub(after),
-                            },
-                            at_states: arena.len(),
-                            footprint: after,
-                        });
-                        footprint = after;
-                    }
-                    if footprint >= budget {
-                        report.truncated = true;
-                        report.truncated_by_memory = true;
-                        report.sheds.push(DegradationStep {
-                            action: DegradationAction::Truncate,
-                            at_states: arena.len(),
-                            footprint,
-                        });
-                    }
-                }
-                Merged::Stored
-            };
-
-            // One clock span for the whole fused pass: per-parent
-            // timestamps would put two clock reads in the hot loop —
-            // measurably over the telemetry overhead budget — so the
-            // inline merges are counted under expand here, and the
-            // pooled sharded driver (whose phases are genuinely
-            // separate passes) reports the true expand/merge split.
-            let expand_t = clock.tick();
-            'seq_merge: for (fpos, &parent) in frontier.iter().enumerate() {
-                enc_buf.clear();
-                succ_meta.clear();
-                // Recycle any staged successors a truncating merge left
-                // behind, then snapshot the fill gate: `filling` and the
-                // ring length only change in the merge loop below, so
-                // copies taken here stay valid for the whole expansion.
-                for slot in pending.drain(..).flatten() {
-                    spare.push(slot);
-                }
-                let filling_now = ring_on && filling;
-                let ring_next_len = ring_next.len();
-                // Decode + prune + rule firing run supervised: a
-                // panic poisons this one state (quarantined with
-                // its packed bytes and decoded dump), the scratch
-                // buffers are re-blanked, and the search moves on.
-                let supervised = catch_unwind(AssertUnwindSafe(|| {
-                    // A ring hit swaps the pre-decoded state straight
-                    // into `cur` — a pointer swap, both sides boxed;
-                    // misses (ring shed, resume, a level that outgrew
-                    // the ring) decode from the arena.
-                    if fpos < ring.len() {
-                        std::mem::swap(&mut cur, &mut ring[fpos]);
-                    } else {
-                        arena.decode_into(parent, &mut cur);
-                    }
-                    let pruned =
-                        self.opts.prune.as_ref().is_some_and(|prune| prune(&cur));
-                    if pruned {
-                        return;
-                    }
-                    // Each successor is encoded into the staging
-                    // buffer, canonicalized (a no-op without a
-                    // reducer or under trivial groups), and
-                    // fingerprinted from the canonical bytes —
-                    // dedup thereafter treats a whole orbit as
-                    // one state.
-                    let mut emit = |rule: RuleId,
-                                    succ: &SystemState,
-                                    enc_buf: &mut Vec<u8>,
-                                    succ_meta: &mut Vec<(RuleId, usize, u64)>| {
-                        let at = enc_buf.len();
-                        match reducer {
-                            // Canonicalization may change the
-                            // encoding's length (value
-                            // renumbering), so reduced runs
-                            // stage each successor before
-                            // appending it to the batch buffer.
-                            Some(r) => {
-                                succ_buf.clear();
-                                codec.encode_into(succ, &mut succ_buf);
-                                r.canonicalize(&mut succ_buf, &mut canon_scratch);
-                                enc_buf.extend_from_slice(&succ_buf);
-                            }
-                            // Unreduced runs encode straight
-                            // into the batch buffer — no
-                            // per-successor copy.
-                            None => codec.encode_into(succ, enc_buf),
-                        }
-                        let fp = StateCodec::fingerprint(&enc_buf[at..]);
-                        succ_meta.push((rule, at, fp));
-                    };
-                    match reducer
-                        .and_then(|r| r.ample_step(&self.rules, &cur, &mut fire_scratch))
-                    {
-                        Some(rule) => {
-                            emit(rule, &fire_scratch, &mut enc_buf, &mut succ_meta);
-                        }
-                        None if peer_variants => self.rules.for_each_enabled_variants(
-                            &cur,
-                            &mut fire_scratch,
-                            |rule, succ| emit(rule, succ, &mut enc_buf, &mut succ_meta),
-                        ),
-                        // The unreduced streaming path drives the `_mut`
-                        // variant so each successor can be *stolen* for
-                        // the ring right after it is encoded: one raw
-                        // struct swap with a recycled boxed slot (the
-                        // rule fire functions rebuild their output from
-                        // the parent, so the swapped-in contents are
-                        // irrelevant), no re-fire, no clone. Steals stop
-                        // (and never restart within the parent) once the
-                        // ring's budget is spoken for, so stolen
-                        // successors are a prefix of `succ_meta` —
-                        // `pending[i]` pairs with `succ_meta[i]`.
-                        None => self.rules.for_each_enabled_mut(
-                            &cur,
-                            &mut fire_scratch,
-                            |rule, succ| {
-                                emit(rule, succ, &mut enc_buf, &mut succ_meta);
-                                if filling_now && ring_next_len + pending.len() < ring_cap {
-                                    let mut slot = spare
-                                        .pop()
-                                        .unwrap_or_else(|| Box::new(codec.blank()));
-                                    std::mem::swap(&mut *slot, succ);
-                                    pending.push(Some(slot));
-                                }
-                            },
-                        ),
-                    }
-                }));
-                if let Err(payload) = supervised {
-                    // Poison state: the staging buffers may hold a
-                    // torn partial expansion and the scratch
-                    // states may be mid-mutation — drop them all
-                    // and rebuild from blanks, then quarantine.
-                    // The state keeps NOT_EXPANDED (it is neither
-                    // terminal nor expanded).
-                    enc_buf = Vec::new();
-                    succ_meta = Vec::new();
-                    succ_buf = Vec::new();
-                    canon_scratch = Vec::new();
-                    pending = Vec::new();
-                    *cur = codec.blank();
-                    fire_scratch = codec.blank();
-                    report.quarantined.push(quarantine_of(
-                        parent,
-                        &arena,
-                        panic_message(payload.as_ref()),
-                    ));
-                    let message =
-                        report.quarantined.last().map(|q| q.message.clone()).unwrap_or_default();
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Quarantine,
-                        parent as u64,
-                        0,
-                        &message,
-                    );
-                    continue;
-                }
-                succ_counts[parent] =
-                    u32::try_from(succ_meta.len()).unwrap_or(u32::MAX - 1);
-                if succ_meta.is_empty() {
-                    report.terminal_states += 1;
-                    if !cur.is_quiescent() {
-                        report.deadlocks.push(Deadlock {
-                            trace: rebuild_trace(parent, &arena, &parents),
-                        });
-                    }
-                    continue;
-                }
-                for i in 0..succ_meta.len() {
-                    let (rule, at, fp) = succ_meta[i];
-                    let end = succ_meta
-                        .get(i + 1)
-                        .map_or(enc_buf.len(), |&(_, next, _)| next);
-                    match merge(
-                        parent,
-                        rule,
-                        &enc_buf[at..end],
-                        fp,
-                        &mut arena,
-                        &mut parents,
-                        &mut succ_counts,
-                        &mut report,
-                    ) {
-                        Merged::Stop => break 'seq_merge,
-                        // Ring fill: the stolen successor staged at
-                        // generation time *is* the state just stored,
-                        // so next level's expansion can swap it in
-                        // instead of decoding. A stored state that
-                        // cannot enter the ring (not stolen, or the
-                        // ring just filled) ends the level's prefix —
-                        // later admissions would desync
-                        // `ring_next[j]` from `new_indices[j]`.
-                        Merged::Stored => {
-                            match pending.get_mut(i).and_then(Option::take) {
-                                Some(slot)
-                                    if ring_on
-                                        && filling
-                                        && ring_next.len() < ring_cap =>
-                                {
-                                    ring_next.push(slot);
-                                }
-                                Some(slot) => {
-                                    filling = false;
-                                    spare.push(slot);
-                                }
-                                None => filling = false,
-                            }
-                        }
-                        // Duplicate successors hand their stolen slot
-                        // back for reuse.
-                        Merged::Duplicate => {
-                            if let Some(slot) = pending.get_mut(i).and_then(Option::take)
-                            {
-                                spare.push(slot);
-                            }
-                        }
-                    }
-                }
-                // A mid-merge shed (the ladder's first rung firing
-                // inside `merge`) must take the ring with it; the
-                // closure cannot touch the ring, so the handoff happens
-                // here at parent granularity — the interim overshoot is
-                // bounded by one parent's fan-out.
-                if ring_on && shed_done.get() {
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
-                }
-            }
-            clock.tock(Phase::Expand, expand_t);
-
-            let mut stop_violations = report.violations.len() >= self.opts.max_violations
-                && !report.violations.is_empty();
-
-            // Phase 3: check properties of the newly *stored* states, in
-            // discovery order.
-            if !stop_violations && !props.is_empty() && !new_indices.is_empty() {
-                let check_t = clock.tick();
-                for &id in &new_indices {
-                    self.check_state(id, &arena, &parents, props, &mut report);
-                    if report.violations.len() >= self.opts.max_violations
-                        && !report.violations.is_empty()
-                    {
-                        stop_violations = true;
-                        break;
-                    }
-                }
-                clock.tock(Phase::Check, check_t);
-            }
-
-            // Level commit, telemetry side: flight events for whatever
-            // the level turned up, then one record of deltas — emitted on
-            // *every* exit path that did work (including the violation
-            // stop below), so a metrics stream always sums exactly to the
-            // final report's totals.
-            {
-                for v in &report.violations[prev_violations..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Violation,
-                        arena.len() as u64,
-                        0,
-                        &v.property,
-                    );
-                }
-                let shed_delta = report.sheds.len() - prev_sheds;
-                for shed in &report.sheds[prev_sheds..] {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::Degradation,
-                        degradation_rung(shed.action),
-                        shed.footprint as u64,
-                        "",
-                    );
-                }
-                let sealed = arena.spilled_extents();
-                if sealed > prev_sealed {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillSeal,
-                        sealed - prev_sealed,
-                        sealed,
-                        "",
-                    );
-                }
-                let faulted = arena.faulted_extents();
-                if faulted > prev_faulted {
-                    flight_note(
-                        &mut flight,
-                        recorder,
-                        FlightKind::SpillFault,
-                        faulted - prev_faulted,
-                        faulted,
-                        "",
-                    );
-                }
-                flight_note(
-                    &mut flight,
-                    recorder,
-                    FlightKind::LevelCommit,
-                    (depth + 1) as u64,
-                    arena.len() as u64,
-                    "",
-                );
-                if let Some(rec) = recorder {
-                    let phases = clock.drain();
-                    phase_total.accumulate(&phases);
-                    let transitions_delta = report.transitions - prev_transitions;
-                    let reduction_now = reducer.map(|r| r.stats());
-                    let record = LevelRecord {
-                        depth: depth + 1,
-                        stored: new_indices.len(),
-                        states_total: arena.len(),
-                        transitions: transitions_delta,
-                        duplicates: transitions_delta.saturating_sub(new_indices.len()),
-                        frontier: new_indices.len(),
-                        footprint: search_footprint(
-                            arena_bytes(&arena, &index),
-                            parents.capacity(),
-                            succ_counts.capacity(),
-                            frontier.capacity() + new_indices.capacity(),
-                        )
-                        .total(),
-                        elapsed: level_started.elapsed(),
-                        phases,
-                        sheds: shed_delta,
-                        spill_seals: sealed.saturating_sub(prev_sealed),
-                        spill_faults: faulted.saturating_sub(prev_faulted),
-                        quarantines: report.quarantined.len() - prev_quarantined,
-                        reduction: reduction_now.map(|now| {
-                            let base = prev_reduction.unwrap_or_default();
-                            ReductionDelta {
-                                orbit_canonicalized: now.orbit_canonicalized
-                                    - base.orbit_canonicalized,
-                                value_canonicalized: now.value_canonicalized
-                                    - base.value_canonicalized,
-                                ample_steps: now.ample_steps() - base.ample_steps(),
-                                canon: now.canon,
-                            }
-                        }),
-                        shards: None,
-                    };
-                    rec.record_level(&record);
-                    prev_reduction = reduction_now;
-                }
-                prev_transitions = report.transitions;
-                prev_sheds = report.sheds.len();
-                prev_quarantined = report.quarantined.len();
-                prev_violations = report.violations.len();
-                prev_sealed = sealed;
-                prev_faulted = faulted;
-                level_started = Instant::now();
-            }
-
-            if stop_violations {
-                break 'outer;
-            }
-
-            depth += 1;
-            report.depth = depth;
-            if report.truncated {
-                break;
-            }
-            // Rotate the ring: consumed slots are recycled, and the
-            // states decoded-at-store-time for the next level become the
-            // new ring (ring_next[i] corresponds to new_indices[i] by
-            // construction — both are appended exactly on `Stored`). A
-            // ring disabled mid-level still served the *current* level
-            // correctly, but its leftovers must not leak into the next
-            // frontier's positions.
-            if ring_on {
-                spare.append(&mut ring);
-                spare.truncate(ring_cap);
-                std::mem::swap(&mut ring, &mut ring_next);
-            } else if !ring.is_empty()
-                || !ring_next.is_empty()
-                || !spare.is_empty()
-                || !pending.is_empty()
-            {
-                pending = Vec::new();
-                ring = Vec::new();
-                ring_next = Vec::new();
-                spare = Vec::new();
-            }
-            frontier = new_indices;
-        }
-
-        // The final checkpoint — written *before* the terminal-statistics
-        // presentation rule below, so a resumed run keeps counting from
-        // the exact boundary values. `resumable` records whether the stop
-        // landed on a level boundary; mid-level stops leave a checkpoint
-        // whose report is reconstituted verbatim instead of re-entered.
-        //
-        // Crash insurance is only worth paying for when there is
-        // something to come back for: a truncated run resumes, one with
-        // findings reconstitutes. A clean completed run hands its result
-        // back right here — persisting it would tax every healthy
-        // campaign with a write nobody reads (any periodic checkpoint is
-        // simply left behind; resuming it re-explores to the same clean
-        // end).
-        if frontier.is_empty() {
-            stopped_at_boundary = true;
-        }
-        let worth_keeping = report.truncated
-            || !report.violations.is_empty()
-            || !report.deadlocks.is_empty()
-            || !report.quarantined.is_empty();
-        if let (Some(policy), Some(fp)) = (ckpt.filter(|_| worth_keeping), ckpt_fingerprint) {
-            let t = clock.tick();
-            flight_note(
-                &mut flight,
-                recorder,
-                FlightKind::CheckpointWrite,
-                depth as u64,
-                arena.len() as u64,
-                "",
-            );
-            write_checkpoint(
-                &self.rules,
-                &policy.dir,
-                &mut ckpt_bufs,
-                fp,
-                stopped_at_boundary,
-                depth,
-                elapsed_offset + start_time.elapsed(),
-                &arena,
-                &parents,
-                &succ_counts,
-                &frontier,
-                &firings,
-                &report,
-                reducer.map(|r| r.stats()),
-                &flight.events(),
-            );
-            clock.tock(Phase::Checkpoint, t);
-        }
-
-        // Terminal statistics were collected on the fly; they are only
-        // meaningful (and only reported, matching the naive checker) when
-        // the exploration ran to completion with no violations.
-        if report.truncated || !report.violations.is_empty() {
-            report.terminal_states = 0;
-            report.deadlocks.clear();
-        }
-
-        report.rule_firings = self
-            .rules
-            .rule_ids()
-            .iter()
-            .zip(&firings)
-            .filter(|(_, &n)| n > 0)
-            .map(|(&id, &n)| (id, n))
-            .collect();
-        report.states = arena.len();
-        report.set_footprint(search_footprint(
-            arena_bytes(&arena, &index),
-            parents.capacity(),
-            succ_counts.capacity(),
-            frontier.capacity(),
-        ));
-        if let Some(r) = reducer {
-            // One pass over the stored representatives prices the
-            // device-symmetry engine: Σ orbit sizes is the exact store
-            // size of the unreduced equivariant exploration *of that
-            // engine alone* (data-symmetry and POR savings only show
-            // against a measured unreduced run).
-            let stats = r.stats();
-            let orbit_states = orbit_states(&arena, r);
-            report.reduction = Some(ReductionSummary {
-                description: r.describe(),
-                group_order: stats.group_order,
-                orbit_canonicalized: stats.orbit_canonicalized,
-                value_canonicalized: stats.value_canonicalized,
-                data_symmetry: stats.data_symmetry,
-                ample_local: stats.ample_local,
-                ample_diamond: stats.ample_diamond,
-                ample_host_drain: stats.ample_host_drain,
-                por: stats.por,
-                canon: stats.canon,
-                orbit_states,
-            });
-        }
-        report.shards = 1;
-        report.delta_entries = arena.delta_entries() as u64;
-        report.spilled_extents = arena.spilled_extents();
-        report.faulted_extents = arena.faulted_extents();
-        report.elapsed = elapsed_offset + start_time.elapsed();
-        phase_total.accumulate(&clock.drain());
-        if clock.enabled() {
-            report.profile = Some(phase_total);
-        }
-        report.flight = flight.events();
-        if let Some(rec) = recorder {
-            rec.finish(&run_summary(&report, phase_total));
-        }
-        Exploration { report, arena, successor_counts: succ_counts }
-    }
-
-    // -----------------------------------------------------------------
-    // The shard-owned parallel search.
-    // -----------------------------------------------------------------
-
-    /// The sharded driver: fingerprint-routed, shard-owned dedup with a
-    /// BFS-level commit barrier.
-    ///
-    /// Each level runs four phases:
-    ///
-    /// 1. **Expand** the frontier over the worker pool's chunk protocol
-    ///    (or inline for narrow frontiers / `threads <= 1`), in frontier
-    ///    order — identical successor streams to the sequential driver.
-    /// 2. **Route**: every successor gets a global sequence number in
-    ///    (frontier order × successor order) and its packed-bytes message
-    ///    goes to the inbox of its owning shard ([`shard_of`]).
-    /// 3. **Dedup**: each shard's inbox is processed by one worker that
-    ///    temporarily *owns* the shard's private `FpIndex` + arena
-    ///    segment (ownership moves through the job queue), so probe,
-    ///    insert, and append are lock-free. Equal states always route to
-    ///    the same shard, so this dedup is globally complete.
-    /// 4. **Commit**: fresh states from all shards are merged by global
-    ///    sequence number, assigning discovery-order global ids — the
-    ///    sequential driver's exact order, making reports, traces,
-    ///    checkpoints, and the merged arena bit-identical.
-    ///
-    /// Truncation semantics (the over-cap transient tail, per-state stop
-    /// points, the memory ladder's mid-level rungs) are inherently
-    /// sequential, so a level that *could* cross `max_states` or
-    /// approach the memory budget falls back to a serial merge that
-    /// mirrors the sequential driver exactly.
-    #[allow(clippy::too_many_lines)]
-    fn run_sharded(
-        &self,
-        start: Start<'_>,
-        props: &[&dyn Property],
-        shards: usize,
-        pool: Option<&LazyPool<'_, '_>>,
-    ) -> Exploration {
-        let start_time = Instant::now();
-        let mut report = Report::default();
-        let codec = StateCodec::new(self.rules.topology());
-        let reducer = self.opts.reduction.as_deref();
-        let peer_variants = reducer.is_some_and(Reducer::wants_peer_variants);
-        // Telemetry: same contract as the sequential driver — the flight
-        // ring always runs, everything else only with a recorder, and
-        // every number is a level-boundary delta of existing counters.
-        let recorder = self.opts.telemetry.as_deref();
-        let mut clock = PhaseClock::new(recorder.is_some());
-        let mut flight = FlightRing::new(self.opts.flight_events);
-        let mut phase_total = PhaseNanos::default();
-
-        let mut store = ShardedStore::new(codec, shards);
-        let mut parents: Vec<ParentLink> = Vec::new();
-        let mut succ_counts: Vec<u32> = Vec::new();
-
-        // Over-cap transient dedup — only ever touched by slow-path
-        // (truncation-risk) levels.
-        let mut transient = StateArena::new(codec);
-        let mut transient_index = FpIndex::new();
-
-        let mut firings = vec![0u64; self.rules.rule_ids().len()];
-        let mut routed_messages: u64 = 0;
-
-        // Scratch for inline expansion and terminal/deadlock decoding.
-        // Boxed so a ring hit in the fused inline path swaps a pointer,
-        // not a half-KiB struct.
-        let mut cur = Box::new(codec.blank());
-        let mut fire_scratch = codec.blank();
-        let mut enc_scratch: Vec<u8> = Vec::new();
-        let mut canon_scratch: Vec<u8> = Vec::new();
-
-        // The sharded driver's decoded-frontier ring — same contract as
-        // the sequential driver's (see [`Self::run`]): `ring[j]` holds
-        // the decoded form of `frontier[j]` for a prefix of the level
-        // (new global ids are consecutive, so position alignment is
-        // identity). It is filled by the *inline* paths only — inline
-        // expansion steals each successor from the firing scratch at
-        // generation time, and the inline merge promotes the stolen
-        // state of every fresh commit into `ring_next` — because pooled
-        // levels decode on the workers and a stolen state would have to
-        // cross the queue twice to pay off. Disabled under reduction
-        // (the stored bytes are canonicalized; the raw fired successor
-        // is not the state a hit must reproduce) and shed with the
-        // buffers under memory pressure, exactly like the sequential
-        // ring.
-        let ring_cap = if reducer.is_none() { self.opts.frontier_ring } else { 0 };
-        let mut ring_on = ring_cap > 0;
-        let mut ring: Vec<Box<SystemState>> = Vec::new();
-        let mut ring_next: Vec<Box<SystemState>> = Vec::new();
-        let mut spare: Vec<Box<SystemState>> = Vec::new();
-
-        let mut frontier: Vec<usize>;
-        let mut depth: usize;
-        let mut elapsed_offset = Duration::ZERO;
-        match start {
-            Start::Fresh(initial) => {
-                // Stored uncanonicalized, exactly like the sequential
-                // driver (the root serves as its own representative).
+                store = ShardedStore::new(codec, shards);
                 let mut enc = Vec::new();
                 codec.encode_into(initial, &mut enc);
                 let fp = StateCodec::fingerprint(&enc);
@@ -1829,7 +784,7 @@ impl ModelChecker {
                     segment.push_encoded(&enc);
                     index.insert(fp, 0, |_| unreachable!("empty shard"));
                 }
-                store.dir.push((u32::try_from(s).expect("shard fits u32"), 0));
+                store.commit(s, 0);
                 parents.push(None);
                 succ_counts.push(NOT_EXPANDED);
                 self.check_state(0, &store, &parents, props, &mut report);
@@ -1837,26 +792,12 @@ impl ModelChecker {
                 depth = 0;
             }
             Start::Resume(cp) => {
-                // Scatter the checkpoint's merged arena back into
-                // per-shard segments. The routing function is a pure
-                // function of the fingerprint, and replaying inserts in
-                // global discovery order reproduces each shard's
-                // insertion order — so the reconstituted per-shard
-                // layout is exactly what a sharded run that was never
-                // interrupted would hold (for any writing shard count:
-                // the merged layout is shard-count-free).
+                // Re-enter the loop at the checkpoint's level boundary:
+                // levels 0..depth fully expanded, frontier = level
+                // `depth`. Everything below reproduces the writing run's
+                // algorithm state exactly.
                 let cp = *cp;
-                for gid in 0..cp.arena.len() {
-                    let fp = cp.fps[gid];
-                    let s = shard_of(fp, shards);
-                    let ShardState { index, segment } = store.shard_mut(s);
-                    let slot = u32::try_from(segment.len()).expect("state count fits u32");
-                    index.insert(fp, slot, |id| {
-                        segment.bytes_of(id as usize) == cp.arena.bytes_of(gid)
-                    });
-                    segment.push_encoded(cp.arena.bytes_of(gid));
-                    store.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
-                }
+                store = ShardedStore::restore(codec, shards, cp.arena, &cp.fps);
                 parents = cp.parents;
                 succ_counts = cp.succ_counts;
                 firings = cp.firings;
@@ -1919,8 +860,10 @@ impl ModelChecker {
         let mut shed_done = false;
         let mut emergency_done = false;
 
-        // Level-boundary telemetry baselines (deltas across sessions sum
-        // to an uninterrupted run's totals — same contract as `run`).
+        // Level-boundary telemetry baselines: records carry *deltas* of
+        // these cumulative counters, so a resumed session's stream picks
+        // up exactly where the interrupted one's left off and the two sum
+        // to an uninterrupted run's totals.
         let mut prev_transitions = report.transitions;
         let mut prev_sheds = report.sheds.len();
         let mut prev_quarantined = report.quarantined.len();
@@ -1945,30 +888,21 @@ impl ModelChecker {
                     break;
                 }
             }
-            // The degradation ladder's boundary rungs, over the sharded
-            // footprint (all segments + all shard indexes + directory).
+            // Graceful-degradation ladder, walked at level boundaries
+            // while every structure is still coherent, over the whole
+            // footprint (all segments, shard indexes and the directory).
+            // Rung 1 (≥ 80% of the budget): shed capacity slack and
+            // transient buffers.
             if let Some(budget) = self.opts.mem_budget {
-                // The decoded ring counts against the budget too — its
-                // memory win (skipped decodes) must only be traded back
-                // within bounds, so the first rung sheds it for the rest
-                // of the run.
-                let ring_states = ring.len() + ring_next.len() + spare.len();
-                let ring_bytes = ring_states
-                    * (std::mem::size_of::<SystemState>() + cxl_core::heap_state_bytes(&cur));
-                let before = ring_bytes
-                    + search_footprint(
-                        store.heap_bytes(),
-                        parents.capacity(),
-                        succ_counts.capacity(),
-                        frontier.capacity(),
-                    )
-                    .total();
+                let before = search_footprint(
+                    store.heap_bytes(),
+                    parents.capacity(),
+                    succ_counts.capacity(),
+                    frontier.capacity(),
+                )
+                .total();
                 if !shed_done && before.saturating_mul(10) >= budget.saturating_mul(8) {
                     shed_done = true;
-                    ring_on = false;
-                    ring = Vec::new();
-                    ring_next = Vec::new();
-                    spare = Vec::new();
                     // The shed rung also seals every pre-frontier shard
                     // entry to disk when a spill dir is armed.
                     if self.opts.spill_dir.is_some() {
@@ -1995,6 +929,8 @@ impl ModelChecker {
                         footprint: after,
                     });
                 }
+                // Rung 2 (≥ 90%): one emergency checkpoint while the
+                // search state is still serializable.
                 if !emergency_done && before.saturating_mul(10) >= budget.saturating_mul(9) {
                     if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
                         emergency_done = true;
@@ -2044,15 +980,17 @@ impl ModelChecker {
                 store.spill_cold_below(&frontier);
                 clock.tock(Phase::Spill, t);
             }
-            // Periodic checkpoint: the segments merge to the same
-            // single-arena wire layout the sequential driver writes, so
-            // checkpoints are interchangeable across drivers and shard
-            // counts.
+            // Periodic checkpoint, at the first boundary after each
+            // `every` interval (a zero interval checkpoints every level):
+            // the segments merge to one single-arena wire layout, so
+            // checkpoints are interchangeable across shard counts.
             if let (Some(policy), Some(fp)) = (ckpt, ckpt_fingerprint) {
                 if last_checkpoint.elapsed() >= policy.every {
                     let t = clock.tick();
-                    // Pushed before encoding — the file carries its own
-                    // write event (see `run`).
+                    // Pushed *before* encoding, so the checkpoint file on
+                    // disk carries its own write event — a resumed run's
+                    // flight recorder then shows the very write it came
+                    // back from.
                     flight_note(
                         &mut flight,
                         recorder,
@@ -2084,79 +1022,192 @@ impl ModelChecker {
             }
 
             // Phase 1: expand the frontier — over the pool's chunk
-            // protocol when it pays, inline otherwise (narrow frontiers
-            // or a single-threaded sharded run). Either way the result
-            // is in frontier order with identical successor streams.
+            // protocol when it pays, in the fused inline pass otherwise
+            // (narrow frontiers or a single-threaded run). Either way the
+            // successor stream is in frontier order and identical.
             // The gate is work-based, not thread-based: a pooled phase
             // costs a submit/wake/drain round-trip (tens of µs on a
             // loaded host), so levels with less than ~a quarter
             // millisecond of expansion work run inline — on oversold
-            // single-core runners this is what keeps the sharded
-            // driver's protocol overhead within a few percent of the
-            // sequential driver instead of 2× behind it.
+            // single-core runners this is what keeps a pooled run's
+            // protocol overhead within a few percent of a
+            // single-threaded one instead of 2× behind it.
             let expand_min = (2 * self.opts.threads).max(PAR_EXPAND_MIN);
             let mut new_indices = Vec::new();
             // Per-shard routed-message counts for this level's telemetry
             // record; filled only by the routed pooled-dedup path (the
             // other paths build no inboxes).
             let mut level_queue_depths: Vec<u32> = Vec::new();
+            // Merge one successor at its global turn (frontier order ×
+            // successor order): dedupe by fingerprint with byte-equality
+            // fallback inside the owning shard, link the parent, count
+            // the firing. Once `max_states` (or the memory budget) is
+            // reached no further states are stored, but the rest of the
+            // level is still deduped and property-checked transiently,
+            // so a violation inside the truncated tail is reported
+            // rather than silently dropped. Returns `true` when that
+            // tail reaches the violation cap: the level stops. The
+            // structures the expansion side also touches are passed in.
+            let frontier_slots = frontier.capacity();
+            let mut merge = |parent: usize,
+                             (ps, pslot): (usize, u32),
+                             rule: RuleId,
+                             encoded: &[u8],
+                             fp: u64,
+                             store: &mut ShardedStore,
+                             parents: &mut Vec<ParentLink>,
+                             succ_counts: &mut Vec<u32>,
+                             report: &mut Report|
+             -> bool {
+                firings[self.rules.dense_index(rule)] += 1;
+                report.transitions += 1;
+                routed_messages += 1;
+                let s = shard_of(fp, shards);
+                if report.truncated {
+                    // Over-cap tail: dedup against the store (read-only
+                    // probe) and the transient side arena, then
+                    // property-check genuinely new states once.
+                    let ShardState { index, segment } = store.shard(s);
+                    if index.probe(fp, |id| segment.entry_matches(id as usize, encoded)).is_some()
+                    {
+                        return false;
+                    }
+                    let candidate = u32::try_from(transient.len()).expect("state count fits u32");
+                    if transient_index
+                        .insert(fp, candidate, |id| transient.bytes_of(id as usize) == encoded)
+                        .is_some()
+                    {
+                        return false;
+                    }
+                    transient.push_encoded(encoded);
+                    let succ = transient.decode(transient.len() - 1);
+                    self.check_transient(parent, rule, &succ, store, parents, props, report);
+                    return report.violations.len() >= self.opts.max_violations
+                        && !report.violations.is_empty();
+                }
+                let ShardState { index, segment } = store.shard_mut(s);
+                let slot = u32::try_from(segment.len()).expect("state count fits u32");
+                if index.insert(fp, slot, |id| segment.entry_matches(id as usize, encoded)).is_some()
+                {
+                    return false;
+                }
+                // Stored as a parent-delta when armed and profitable —
+                // only against a parent in the same shard segment.
+                segment.push_encoded_delta(encoded, (ps == s).then_some(pslot));
+                let gid = store.commit(s, slot);
+                push_fresh(parents, succ_counts, link(parent, rule), shed_done);
+                new_indices.push(gid);
+                if store.len() >= self.opts.max_states {
+                    report.truncated = true;
+                }
+                if let Some(budget) = self.opts.mem_budget {
+                    // The hard rung: the full resident footprint — store,
+                    // dedup indexes, parent links, successor counts, and
+                    // both frontier queues — against the budget.
+                    let footprint_now = |store: &ShardedStore,
+                                         parents: &Vec<ParentLink>,
+                                         succ_counts: &Vec<u32>,
+                                         queued: usize| {
+                        search_footprint(
+                            store.heap_bytes(),
+                            parents.capacity(),
+                            succ_counts.capacity(),
+                            frontier_slots + queued,
+                        )
+                        .total()
+                    };
+                    let mut footprint =
+                        footprint_now(store, parents, succ_counts, new_indices.capacity());
+                    // A fast-growing level can blow through the 80%
+                    // boundary rung and the budget in one stride; shed
+                    // the capacity slack reachable from here before
+                    // giving up, so truncation is always the ladder's
+                    // *last* step.
+                    if !shed_done && footprint.saturating_mul(10) >= budget.saturating_mul(8) {
+                        shed_done = true;
+                        store.shrink_to_fit();
+                        parents.shrink_to_fit();
+                        succ_counts.shrink_to_fit();
+                        let after =
+                            footprint_now(store, parents, succ_counts, new_indices.capacity());
+                        report.sheds.push(DegradationStep {
+                            action: DegradationAction::ShedBuffers {
+                                reclaimed: footprint.saturating_sub(after),
+                            },
+                            at_states: store.len(),
+                            footprint: after,
+                        });
+                        footprint = after;
+                    }
+                    if footprint >= budget {
+                        report.truncated = true;
+                        report.truncated_by_memory = true;
+                        report.sheds.push(DegradationStep {
+                            action: DegradationAction::Truncate,
+                            at_states: store.len(),
+                            footprint,
+                        });
+                    }
+                }
+                false
+            };
+            // Record one expanded frontier state's outcome at its turn,
+            // just before its successors merge: its successor count and,
+            // with none, whether it is terminal or deadlocked (`cur`
+            // holds the decoded parent when `decoded`); or quarantine
+            // it. Frontier order is discovery order, so deadlock traces
+            // come out in the order the naive rescan produced, and a
+            // level the violation cap stops leaves the same later
+            // parents unexpanded whichever arm ran it.
+            let mut settle = |parent: usize,
+                              outcome: &Outcome,
+                              cur: &mut SystemState,
+                              decoded: bool,
+                              store: &ShardedStore,
+                              parents: &[ParentLink],
+                              succ_counts: &mut [u32],
+                              report: &mut Report| match outcome {
+                Outcome::Poisoned(message) => {
+                    flight_note(
+                        &mut flight,
+                        recorder,
+                        FlightKind::Quarantine,
+                        parent as u64,
+                        0,
+                        message,
+                    );
+                    report.quarantined.push(quarantine_of(parent, store, message.clone()));
+                }
+                Outcome::Succs(n) => {
+                    succ_counts[parent] = (*n).min(u32::MAX - 1);
+                    if *n == 0 {
+                        report.terminal_states += 1;
+                        if !decoded {
+                            store.decode_into(parent, cur);
+                        }
+                        if !cur.is_quiescent() {
+                            report.deadlocks.push(Deadlock {
+                                trace: rebuild_trace(parent, store, parents),
+                            });
+                        }
+                    }
+                }
+            };
             match pool {
                 // ——— Pooled level: two-phase. Expansion fans out over
                 // the chunk protocol, then dedup runs routed (parallel)
                 // or inline on this thread, by message count. ———
                 Some(pool) if frontier.len() >= expand_min => {
-                    // The ring only serves fused inline levels, and a
-                    // pooled level bypasses it entirely (workers decode
-                    // from shipped bytes) — recycle the allocations.
-                    spare.append(&mut ring);
                     let expand_t = clock.tick();
-                    let mut expanded: Vec<ExpandedChunk> =
-                        pool.expand(&frontier, &store);
-                    // Phase 1b: successor counts, terminals, deadlocks, and
-                    // quarantines — in discovery order, exactly like the
-                    // sequential driver.
-                    for chunk in &expanded {
-                        for (parent, outcome) in &chunk.parents {
-                            match outcome {
-                                Outcome::Poisoned(message) => {
-                                    flight_note(
-                                        &mut flight,
-                                        recorder,
-                                        FlightKind::Quarantine,
-                                        *parent as u64,
-                                        0,
-                                        message,
-                                    );
-                                    report.quarantined.push(quarantine_of(
-                                        *parent,
-                                        &store,
-                                        message.clone(),
-                                    ));
-                                }
-                                Outcome::Succs(n) => {
-                                    succ_counts[*parent] = (*n).min(u32::MAX - 1);
-                                    if *n == 0 {
-                                        report.terminal_states += 1;
-                                        store.decode_into(*parent, &mut cur);
-                                        if !cur.is_quiescent() {
-                                            report.deadlocks.push(Deadlock {
-                                                trace: rebuild_trace(*parent, &store, &parents),
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-
+                    let expanded: Vec<ExpandedChunk> = pool.expand(&frontier, &store);
                     clock.tock(Phase::Expand, expand_t);
                     let merge_t = clock.tick();
 
                     // Size the level: can it provably not truncate? Only then is
-                    // the parallel shard-owned dedup permitted (fast path);
-                    // otherwise the level merges serially with the sequential
-                    // driver's exact truncation semantics (slow path). The SoA
-                    // chunk layout makes this O(chunks).
+                    // the routed, shard-owned dedup permitted; otherwise the
+                    // level merges on this thread with the fused pass's exact
+                    // truncation semantics. The SoA chunk layout makes this
+                    // O(chunks).
                     let mut total_msgs = 0usize;
                     let mut payload_bytes = 0usize;
                     for chunk in &expanded {
@@ -2190,13 +1241,29 @@ impl ModelChecker {
                     // routing entirely and merges straight
                     // from the chunks, which are already in global sequence
                     // order. One pass over each message instead of two, no inbox
-                    // buffers, no commit sort — this is most of what keeps the
-                    // sharded driver near the sequential one on a single core.
+                    // buffers, no commit sort — this is most of what keeps a
+                    // pooled run near a single-threaded one on a single core.
                     let pooled_dedup = total_msgs >= PAR_DEDUP_MIN;
                     if fast && pooled_dedup {
+                        // This path cannot stop mid-level, so every
+                        // parent settles up front.
+                        for chunk in &expanded {
+                            for (parent, outcome) in &chunk.parents {
+                                settle(
+                                    *parent,
+                                    outcome,
+                                    &mut cur,
+                                    false,
+                                    &store,
+                                    &parents,
+                                    &mut succ_counts,
+                                    &mut report,
+                                );
+                            }
+                        }
                         // Phase 2: route. Global sequence numbers follow
-                        // (frontier order × successor order) — the sequential
-                        // driver's merge order. Each successor's bytes are
+                        // (frontier order × successor order) — the fused
+                        // pass's merge order. Each successor's bytes are
                         // memcpy'd into its shard's inbox buffer: a few dozen
                         // bytes moved per message, zero allocations per message.
                         let mut inboxes: Vec<Inbox> = (0..shards)
@@ -2211,6 +1278,7 @@ impl ModelChecker {
                             let mut start = 0usize;
                             for (parent, outcome) in &chunk.parents {
                                 let Outcome::Succs(n) = outcome else { continue };
+                                let (ps, pslot) = store.locate(*parent);
                                 let parent =
                                     u32::try_from(*parent).expect("state count fits u32");
                                 for &(rule, end, fp) in &chunk.items[item..item + *n as usize] {
@@ -2220,9 +1288,7 @@ impl ModelChecker {
                                     report.transitions += 1;
                                     routed_messages += 1;
                                     let dest = shard_of(fp, shards);
-                                    let (ps, pslot) = store.dir[parent as usize];
-                                    let base =
-                                        if ps as usize == dest { pslot } else { u32::MAX };
+                                    let base = if ps == dest { pslot } else { u32::MAX };
                                     let inbox = &mut inboxes[dest];
                                     inbox.buf.extend_from_slice(bytes);
                                     inbox.msgs.push(RoutedMsg {
@@ -2275,223 +1341,66 @@ impl ModelChecker {
 
                         // Phase 4: commit. Per-shard fresh lists are already
                         // seq-sorted, so this sort is a merge; global ids come
-                        // out in the sequential driver's discovery order, which
+                        // out in the fused pass's discovery order, which
                         // makes the merged arena bit-identical.
                         fresh.sort_unstable_by_key(|(_, f)| f.seq);
                         for (s, f) in fresh {
-                            let gid = store.dir.len();
-                            store.dir.push((u32::try_from(s).expect("shard fits u32"), f.slot));
-                            parents.push(Some((f.parent, f.rule)));
-                            succ_counts.push(NOT_EXPANDED);
+                            let gid = store.commit(s, f.slot);
+                            push_fresh(
+                                &mut parents,
+                                &mut succ_counts,
+                                Some((f.parent, f.rule)),
+                                shed_done,
+                            );
                             new_indices.push(gid);
                         }
                         if store.len() >= self.opts.max_states {
                             report.truncated = true;
                         }
-                    } else if fast {
-                        // Inline merge: dedup on the driver thread straight from
-                        // the chunks in global sequence order — per-shard insert
-                        // order and global commit order are exactly what the
-                        // routed path produces, just without materializing the
-                        // inboxes. (A shard's inbox preserves the global order
-                        // of the messages routed to it, so inserting each
-                        // message at its global turn is the same per-shard
-                        // insertion sequence; commits happen at the same turns,
-                        // already sorted.)
-                        // Is this level's ring prefix still growing? Cleared the
-                        // first time a fresh commit has no stolen decode or the
-                        // ring is full — `ring_next[j]` must stay the decoded
-                        // form of `new_indices[j]`, so only an unbroken prefix
-                        // of commits may fill it.
-                        let mut filling = ring_on;
-                        for chunk in &mut expanded {
-                            let ExpandedChunk { parents: chunk_parents, items, buf, decoded } =
-                                chunk;
-                            let mut item = 0usize;
-                            let mut start = 0usize;
-                            for (parent, outcome) in chunk_parents.iter() {
-                                let Outcome::Succs(n) = outcome else { continue };
-                                let parent = *parent;
-                                for (i, &(rule, end, fp)) in
-                                    items.iter().enumerate().skip(item).take(*n as usize)
-                                {
-                                    let encoded = &buf[start..end];
-                                    start = end;
-                                    firings[self.rules.dense_index(rule)] += 1;
-                                    report.transitions += 1;
-                                    routed_messages += 1;
-                                    let s = shard_of(fp, shards);
-                                    let (ps, pslot) = store.dir[parent];
-                                    let base =
-                                        if ps as usize == s { Some(pslot) } else { None };
-                                    let ShardState { index, segment } = store.shard_mut(s);
-                                    let slot = u32::try_from(segment.len())
-                                        .expect("state count fits u32");
-                                    let stolen = decoded.get_mut(i).and_then(Option::take);
-                                    if index
-                                        .insert(fp, slot, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_none()
-                                    {
-                                        segment.push_encoded_delta(encoded, base);
-                                        let gid = store.dir.len();
-                                        store
-                                            .dir
-                                            .push((u32::try_from(s).expect("shard fits u32"), slot));
-                                        parents.push(link(parent, rule));
-                                        succ_counts.push(NOT_EXPANDED);
-                                        new_indices.push(gid);
-                                        match stolen {
-                                            Some(slot)
-                                                if filling && ring_next.len() < ring_cap =>
-                                            {
-                                                ring_next.push(slot);
-                                            }
-                                            other => {
-                                                filling = false;
-                                                spare.extend(other);
-                                            }
-                                        }
-                                    } else {
-                                        spare.extend(stolen);
-                                    }
-                                }
-                                item += *n as usize;
-                            }
-                        }
-                        if store.len() >= self.opts.max_states {
-                            report.truncated = true;
-                        }
                     } else {
-                        // Slow path: serial merge in global sequence order,
-                        // mirroring the sequential driver's merge closure bit
-                        // for bit (including the transient over-cap tail and
-                        // the memory ladder's mid-level rungs).
-                        'slow: for chunk in &expanded {
+                        // Merge on this thread in global sequence order,
+                        // each successor at its global turn — the fused
+                        // pass's merge exactly, truncation semantics
+                        // included. (A shard's inbox preserves the global
+                        // order of the messages routed to it, so this is
+                        // also the per-shard insertion sequence and the
+                        // commit order the routed path produces.)
+                        'merge: for chunk in &expanded {
                             let mut item = 0usize;
                             let mut start = 0usize;
                             for (parent, outcome) in &chunk.parents {
+                                settle(
+                                    *parent,
+                                    outcome,
+                                    &mut cur,
+                                    false,
+                                    &store,
+                                    &parents,
+                                    &mut succ_counts,
+                                    &mut report,
+                                );
                                 let Outcome::Succs(n) = outcome else { continue };
-                                let parent = *parent;
+                                let at = store.locate(*parent);
                                 for &(rule, end, fp) in &chunk.items[item..item + *n as usize] {
-                                let encoded = &chunk.buf[start..end];
-                                start = end;
-                                firings[self.rules.dense_index(rule)] += 1;
-                                report.transitions += 1;
-                                routed_messages += 1;
-                                let s = shard_of(fp, shards);
-                                if report.truncated {
-                                    let known = {
-                                        let ShardState { index, segment } = store.shard(s);
-                                        index
-                                            .probe(fp, |id| {
-                                                segment.entry_matches(id as usize, encoded)
-                                            })
-                                            .is_some()
-                                    };
-                                    if !known {
-                                        let candidate = u32::try_from(transient.len())
-                                            .expect("state count fits u32");
-                                        let seen = transient_index
-                                            .insert(fp, candidate, |id| {
-                                                transient.bytes_of(id as usize) == encoded
-                                            })
-                                            .is_some();
-                                        if !seen {
-                                            transient.push_encoded(encoded);
-                                            let succ = transient.decode(transient.len() - 1);
-                                            self.check_transient(
-                                                parent, rule, &succ, &store, &parents, props,
-                                                &mut report,
-                                            );
-                                            if report.violations.len() >= self.opts.max_violations
-                                                && !report.violations.is_empty()
-                                            {
-                                                break 'slow;
-                                            }
-                                        }
+                                    let encoded = &chunk.buf[start..end];
+                                    start = end;
+                                    if merge(
+                                        *parent,
+                                        at,
+                                        rule,
+                                        encoded,
+                                        fp,
+                                        &mut store,
+                                        &mut parents,
+                                        &mut succ_counts,
+                                        &mut report,
+                                    ) {
+                                        break 'merge;
                                     }
-                                    continue;
-                                }
-                                let fresh = {
-                                    let (ps, pslot) = store.dir[parent];
-                                    let base =
-                                        if ps as usize == s { Some(pslot) } else { None };
-                                    let ShardState { index, segment } = store.shard_mut(s);
-                                    let slot =
-                                        u32::try_from(segment.len()).expect("state count fits u32");
-                                    if index
-                                        .insert(fp, slot, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_none()
-                                    {
-                                        segment.push_encoded_delta(encoded, base);
-                                        Some(slot)
-                                    } else {
-                                        None
-                                    }
-                                };
-                                let Some(slot) = fresh else { continue };
-                                let gid = store.dir.len();
-                                store.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
-                                parents.push(link(parent, rule));
-                                succ_counts.push(NOT_EXPANDED);
-                                new_indices.push(gid);
-                                if store.len() >= self.opts.max_states {
-                                    report.truncated = true;
-                                }
-                                if let Some(budget) = self.opts.mem_budget {
-                                    let mut footprint = search_footprint(
-                                        store.heap_bytes(),
-                                        parents.capacity(),
-                                        succ_counts.capacity(),
-                                        frontier.capacity() + new_indices.capacity(),
-                                    )
-                                    .total();
-                                    if !shed_done
-                                        && footprint.saturating_mul(10) >= budget.saturating_mul(8)
-                                    {
-                                        shed_done = true;
-                                        store.shrink_to_fit();
-                                        parents.shrink_to_fit();
-                                        succ_counts.shrink_to_fit();
-                                        let after = search_footprint(
-                                            store.heap_bytes(),
-                                            parents.capacity(),
-                                            succ_counts.capacity(),
-                                            frontier.capacity() + new_indices.capacity(),
-                                        )
-                                        .total();
-                                        report.sheds.push(DegradationStep {
-                                            action: DegradationAction::ShedBuffers {
-                                                reclaimed: footprint.saturating_sub(after),
-                                            },
-                                            at_states: store.len(),
-                                            footprint: after,
-                                        });
-                                        footprint = after;
-                                    }
-                                    if footprint >= budget {
-                                        report.truncated = true;
-                                        report.truncated_by_memory = true;
-                                        report.sheds.push(DegradationStep {
-                                            action: DegradationAction::Truncate,
-                                            at_states: store.len(),
-                                            footprint,
-                                        });
-                                    }
-                                }
                                 }
                                 item += *n as usize;
                             }
                         }
-                    }
-                    // Recycle whatever stolen decodes the merge did not promote
-                    // (pooled-dedup and slow levels promote none).
-                    for chunk in &mut expanded {
-                        spare.extend(chunk.decoded.drain(..).flatten());
                     }
                     drop(expanded);
                     clock.tock(Phase::Merge, merge_t);
@@ -2509,30 +1418,20 @@ impl ModelChecker {
                 // dedup turn, per-insert truncation, the transient
                 // over-cap tail, the memory ladder's mid-level rungs —
                 // of the two-phase path, so the bits that come out are
-                // identical; this is the sequential driver's fused loop
-                // wearing the sharded store.
+                // identical whichever arm ran the level.
                 _ => {
-                    let mut filling = ring_on;
                     let mut pchunk = ExpandedChunk::default();
-                    // One clock span for the fused pass (see the
-                    // sequential driver): per-parent timestamps would
-                    // blow the telemetry overhead budget, so inline
-                    // merges count under expand here and only the
-                    // pooled arm reports a true expand/merge split.
+                    // One clock span for the fused pass: per-parent
+                    // timestamps would put two clock reads in the hot
+                    // loop — measurably over the telemetry overhead
+                    // budget — so inline merges count under expand here
+                    // and only the pooled arm reports a true
+                    // expand/merge split.
                     let expand_t = clock.tick();
-                    'fused: for (j, &parent) in frontier.iter().enumerate() {
+                    'fused: for &parent in &frontier {
                         pchunk.parents.clear();
                         pchunk.items.clear();
                         pchunk.buf.clear();
-                        pchunk.decoded.clear();
-                        // Steal decoded successors only while the next
-                        // level's ring is still filling (never under
-                        // reduction — expand_one forces the cap to 0).
-                        let steal_cap = if filling {
-                            ring_cap.saturating_sub(ring_next.len())
-                        } else {
-                            0
-                        };
                         let outcome = expand_one(
                             &self.rules,
                             codec,
@@ -2540,213 +1439,54 @@ impl ModelChecker {
                             reducer,
                             peer_variants,
                             parent,
-                            |cur| {
-                                // Ring hit: the frontier is
-                                // gid-consecutive and the ring covers
-                                // its prefix position-for-position, so
-                                // the parent's decoded form swaps in
-                                // for free; misses (ring shed, resume,
-                                // a level that outgrew the ring) decode
-                                // from the arena.
-                                if let Some(slot) = ring.get_mut(j) {
-                                    std::mem::swap(cur, slot);
-                                } else {
-                                    store.decode_into(parent, cur);
-                                }
-                            },
+                            |cur| store.decode_into(parent, cur),
                             &mut cur,
                             &mut fire_scratch,
                             &mut enc_scratch,
                             &mut canon_scratch,
-                            steal_cap,
-                            &mut spare,
                             &mut pchunk,
                         );
                         if outcome.is_err() {
-                            *cur = codec.blank();
+                            cur = codec.blank();
                             fire_scratch = codec.blank();
                             canon_scratch = Vec::new();
                         }
-                        match &pchunk.parents[0].1 {
-                            Outcome::Poisoned(message) => {
-                                flight_note(
-                                    &mut flight,
-                                    recorder,
-                                    FlightKind::Quarantine,
-                                    parent as u64,
-                                    0,
-                                    message,
-                                );
-                                report.quarantined.push(quarantine_of(
-                                    parent,
-                                    &store,
-                                    message.clone(),
-                                ));
-                                continue;
-                            }
-                            Outcome::Succs(n) => {
-                                succ_counts[parent] = (*n).min(u32::MAX - 1);
-                                if *n == 0 {
-                                    report.terminal_states += 1;
-                                    // `cur` still holds the decoded
-                                    // parent (firing never mutates the
-                                    // source state).
-                                    if !cur.is_quiescent() {
-                                        report.deadlocks.push(Deadlock {
-                                            trace: rebuild_trace(
-                                                parent, &store, &parents,
-                                            ),
-                                        });
-                                    }
-                                }
-                            }
-                        }
+                        // `cur` still holds the decoded parent (firing
+                        // never mutates the source state); a poisoned
+                        // parent's chunk holds no successors.
+                        settle(
+                            parent,
+                            &pchunk.parents[0].1,
+                            &mut cur,
+                            true,
+                            &store,
+                            &parents,
+                            &mut succ_counts,
+                            &mut report,
+                        );
                         // Merge this parent's successors at their
-                        // global turns — the sequential driver's merge
-                        // closure bit for bit.
+                        // global turns.
+                        let at = store.locate(parent);
                         let mut start = 0usize;
-                        for (i, &(rule, end, fp)) in pchunk.items.iter().enumerate() {
+                        for &(rule, end, fp) in &pchunk.items {
                             let encoded = &pchunk.buf[start..end];
                             start = end;
-                            firings[self.rules.dense_index(rule)] += 1;
-                            report.transitions += 1;
-                            routed_messages += 1;
-                            let s = shard_of(fp, shards);
-                            let stolen =
-                                pchunk.decoded.get_mut(i).and_then(Option::take);
-                            if report.truncated {
-                                spare.extend(stolen);
-                                let known = {
-                                    let ShardState { index, segment } = store.shard(s);
-                                    index
-                                        .probe(fp, |id| {
-                                            segment.entry_matches(id as usize, encoded)
-                                        })
-                                        .is_some()
-                                };
-                                if !known {
-                                    let candidate = u32::try_from(transient.len())
-                                        .expect("state count fits u32");
-                                    let seen = transient_index
-                                        .insert(fp, candidate, |id| {
-                                            transient.bytes_of(id as usize) == encoded
-                                        })
-                                        .is_some();
-                                    if !seen {
-                                        transient.push_encoded(encoded);
-                                        let succ = transient.decode(transient.len() - 1);
-                                        self.check_transient(
-                                            parent, rule, &succ, &store, &parents,
-                                            props, &mut report,
-                                        );
-                                        if report.violations.len()
-                                            >= self.opts.max_violations
-                                            && !report.violations.is_empty()
-                                        {
-                                            break 'fused;
-                                        }
-                                    }
-                                }
-                                continue;
-                            }
-                            let fresh = {
-                                let (ps, pslot) = store.dir[parent];
-                                let base =
-                                    if ps as usize == s { Some(pslot) } else { None };
-                                let ShardState { index, segment } = store.shard_mut(s);
-                                let slot = u32::try_from(segment.len())
-                                    .expect("state count fits u32");
-                                if index
-                                    .insert(fp, slot, |id| {
-                                        segment.entry_matches(id as usize, encoded)
-                                    })
-                                    .is_none()
-                                {
-                                    segment.push_encoded_delta(encoded, base);
-                                    Some(slot)
-                                } else {
-                                    None
-                                }
-                            };
-                            let Some(slot) = fresh else {
-                                spare.extend(stolen);
-                                continue;
-                            };
-                            let gid = store.dir.len();
-                            store
-                                .dir
-                                .push((u32::try_from(s).expect("shard fits u32"), slot));
-                            parents.push(link(parent, rule));
-                            succ_counts.push(NOT_EXPANDED);
-                            new_indices.push(gid);
-                            // Promote the stolen decode into the next
-                            // level's ring while the prefix holds:
-                            // `ring_next[j]` must stay the decoded form
-                            // of `new_indices[j]`, so the first fresh
-                            // commit without a slot (or past the cap)
-                            // ends the fill.
-                            match stolen {
-                                Some(slot) if filling && ring_next.len() < ring_cap => {
-                                    ring_next.push(slot);
-                                }
-                                other => {
-                                    filling = false;
-                                    spare.extend(other);
-                                }
-                            }
-                            if store.len() >= self.opts.max_states {
-                                report.truncated = true;
-                            }
-                            if let Some(budget) = self.opts.mem_budget {
-                                let mut footprint = search_footprint(
-                                    store.heap_bytes(),
-                                    parents.capacity(),
-                                    succ_counts.capacity(),
-                                    frontier.capacity() + new_indices.capacity(),
-                                )
-                                .total();
-                                if !shed_done
-                                    && footprint.saturating_mul(10)
-                                        >= budget.saturating_mul(8)
-                                {
-                                    shed_done = true;
-                                    store.shrink_to_fit();
-                                    parents.shrink_to_fit();
-                                    succ_counts.shrink_to_fit();
-                                    let after = search_footprint(
-                                        store.heap_bytes(),
-                                        parents.capacity(),
-                                        succ_counts.capacity(),
-                                        frontier.capacity() + new_indices.capacity(),
-                                    )
-                                    .total();
-                                    report.sheds.push(DegradationStep {
-                                        action: DegradationAction::ShedBuffers {
-                                            reclaimed: footprint.saturating_sub(after),
-                                        },
-                                        at_states: store.len(),
-                                        footprint: after,
-                                    });
-                                    footprint = after;
-                                }
-                                if footprint >= budget {
-                                    report.truncated = true;
-                                    report.truncated_by_memory = true;
-                                    report.sheds.push(DegradationStep {
-                                        action: DegradationAction::Truncate,
-                                        at_states: store.len(),
-                                        footprint,
-                                    });
-                                }
+                            if merge(
+                                parent,
+                                at,
+                                rule,
+                                encoded,
+                                fp,
+                                &mut store,
+                                &mut parents,
+                                &mut succ_counts,
+                                &mut report,
+                            ) {
+                                break 'fused;
                             }
                         }
                     }
                     clock.tock(Phase::Expand, expand_t);
-                    // An early break leaves untaken decodes behind; and
-                    // this level's ring is spent either way (a served
-                    // slot holds whatever the hit's swap left behind).
-                    spare.extend(pchunk.decoded.drain(..).flatten());
-                    spare.append(&mut ring);
                 }
             }
 
@@ -2880,7 +1620,8 @@ impl ModelChecker {
                                 canon: now.canon,
                             }
                         }),
-                        shards: Some(ShardLevelStats {
+                        // One shard routes nothing: no per-shard block.
+                        shards: (shards > 1).then(|| ShardLevelStats {
                             queue_depths: std::mem::take(&mut level_queue_depths),
                             imbalance_pct: store.imbalance_pct(),
                         }),
@@ -2901,22 +1642,6 @@ impl ModelChecker {
                 break 'outer;
             }
 
-            // A mid-merge shed (the ladder's first rung firing inside
-            // the slow path) takes the ring with it; otherwise rotate —
-            // the stolen states for the next level become the new ring
-            // (`ring_next[j]` is the decoded form of `new_indices[j]`).
-            if shed_done {
-                ring_on = false;
-            }
-            if ring_on {
-                spare.truncate(ring_cap);
-                std::mem::swap(&mut ring, &mut ring_next);
-            } else if !ring.is_empty() || !ring_next.is_empty() || !spare.is_empty() {
-                ring = Vec::new();
-                ring_next = Vec::new();
-                spare = Vec::new();
-            }
-
             depth += 1;
             report.depth = depth;
             if report.truncated {
@@ -2925,6 +1650,17 @@ impl ModelChecker {
             frontier = new_indices;
         }
 
+        // The final checkpoint — written *before* the terminal-statistics
+        // presentation rule below, so a resumed run keeps counting from
+        // the exact boundary values. `resumable` records whether the stop
+        // landed on a level boundary; mid-level stops leave a checkpoint
+        // whose report is reconstituted verbatim instead of re-entered.
+        //
+        // Crash insurance is only worth paying for when there is
+        // something to come back for: a truncated run resumes, one with
+        // findings reconstitutes. A clean completed run hands its result
+        // back right here (any periodic checkpoint is simply left behind;
+        // resuming it re-explores to the same clean end).
         if frontier.is_empty() {
             stopped_at_boundary = true;
         }
@@ -2962,6 +1698,9 @@ impl ModelChecker {
             clock.tock(Phase::Checkpoint, ckpt_t);
         }
 
+        // Terminal statistics were collected on the fly; they are only
+        // meaningful (and only reported, matching the naive checker) when
+        // the exploration ran to completion with no violations.
         if report.truncated || !report.violations.is_empty() {
             report.terminal_states = 0;
             report.deadlocks.clear();
@@ -2983,6 +1722,11 @@ impl ModelChecker {
             frontier.capacity(),
         ));
         if let Some(r) = reducer {
+            // One pass over the stored representatives prices the
+            // device-symmetry engine: Σ orbit sizes is the exact store
+            // size of the unreduced equivariant exploration *of that
+            // engine alone* (data-symmetry and POR savings only show
+            // against a measured unreduced run).
             let stats = r.stats();
             let orbit_states = orbit_states(&store, r);
             report.reduction = Some(ReductionSummary {
@@ -3000,11 +1744,13 @@ impl ModelChecker {
             });
         }
         report.shards = shards;
-        report.routed_messages = routed_messages;
-        report.shard_imbalance_pct = store.imbalance_pct();
-        // Count store compression/spill activity before `merged()` below
-        // reads every sealed extent once more — these are run-time
-        // figures, not merge-time ones.
+        if shards > 1 {
+            report.routed_messages = routed_messages;
+            report.shard_imbalance_pct = store.imbalance_pct();
+        }
+        // Count store compression/spill activity before `into_arena`
+        // below (which, sharded, reads every sealed extent once more) —
+        // these are run-time figures, not merge-time ones.
         for shard in store.shards.iter().flatten() {
             report.delta_entries += shard.segment.delta_entries() as u64;
             report.spilled_extents += shard.segment.spilled_extents();
@@ -3019,8 +1765,7 @@ impl ModelChecker {
         if let Some(rec) = recorder {
             rec.finish(&run_summary(&report, phase_total));
         }
-        let arena = store.merged();
-        Exploration { report, arena, successor_counts: succ_counts }
+        Exploration { report, arena: store.into_arena(), successor_counts: succ_counts }
     }
 
     /// Property-check a successor that was *not* stored because the state
@@ -3032,7 +1777,7 @@ impl ModelChecker {
         parent: usize,
         rule: RuleId,
         succ: &SystemState,
-        store: &impl StateStore,
+        store: &ShardedStore,
         parents: &[ParentLink],
         props: &[&dyn Property],
         report: &mut Report,
@@ -3056,7 +1801,7 @@ impl ModelChecker {
     fn check_state(
         &self,
         id: usize,
-        store: &impl StateStore,
+        store: &ShardedStore,
         parents: &[ParentLink],
         props: &[&dyn Property],
         report: &mut Report,
@@ -3316,7 +2061,7 @@ impl<'a> PoolShared<'a> {
     /// across all jobs (the per-worker working set of the frontier
     /// pipeline).
     fn worker_loop(&self) {
-        let mut cur = Box::new(self.codec.blank());
+        let mut cur = self.codec.blank();
         let mut fire_scratch = self.codec.blank();
         let mut enc_scratch: Vec<u8> = Vec::new();
         let mut canon_scratch: Vec<u8> = Vec::new();
@@ -3345,13 +2090,7 @@ impl<'a> PoolShared<'a> {
                         parents: Vec::with_capacity(items.ids.len()),
                         items: Vec::new(),
                         buf: Vec::new(),
-                        decoded: Vec::new(),
                     };
-                    // Workers never steal decoded successors (steal cap
-                    // 0): the driver's ring only serves *inline* levels,
-                    // and shipping decoded states back across the queue
-                    // would cost more than the decode it saves.
-                    let mut no_spare: Vec<Box<SystemState>> = Vec::new();
                     for (id, encoded) in items.iter() {
                         let outcome = expand_one(
                             self.rules,
@@ -3369,12 +2108,10 @@ impl<'a> PoolShared<'a> {
                             &mut fire_scratch,
                             &mut enc_scratch,
                             &mut canon_scratch,
-                            0,
-                            &mut no_spare,
                             &mut out,
                         );
                         if outcome.is_err() {
-                            *cur = self.codec.blank();
+                            cur = self.codec.blank();
                             fire_scratch = self.codec.blank();
                             canon_scratch = Vec::new();
                         }
@@ -3432,7 +2169,7 @@ impl<'a> PoolShared<'a> {
     /// The outbound protocol copies each chunk's packed state bytes out
     /// of the store into one batched buffer — a few dozen bytes per
     /// state, zero per-state allocations.
-    fn expand(&self, frontier: &[usize], store: &dyn StateStore) -> Vec<ExpandedChunk> {
+    fn expand(&self, frontier: &[usize], store: &ShardedStore) -> Vec<ExpandedChunk> {
         let chunk_size = Self::chunk_size(frontier.len());
         let jobs: Vec<Job> = frontier
             .chunks(chunk_size)
@@ -3458,7 +2195,7 @@ impl<'a> PoolShared<'a> {
     /// Property-check freshly stored states across the pool, returning
     /// `(state id, property index, detail)` triples (unordered; the
     /// driver sorts by discovery order).
-    fn check(&self, ids: &[usize], store: &dyn StateStore) -> Vec<(usize, usize, String)> {
+    fn check(&self, ids: &[usize], store: &ShardedStore) -> Vec<(usize, usize, String)> {
         let chunk_size = Self::chunk_size(ids.len());
         let jobs: Vec<Job> = ids
             .chunks(chunk_size)
@@ -3477,8 +2214,8 @@ impl<'a> PoolShared<'a> {
     }
 }
 
-/// A worker pool whose threads spawn on first use. The sharded driver's
-/// phase gates are work-based, so a run whose levels are all narrow
+/// A worker pool whose threads spawn on first use. The search's phase
+/// gates are work-based, so a run whose levels are all narrow
 /// enough to process inline never submits a job — and with this wrapper
 /// it never pays thread spawn/join either (on an oversold single-core
 /// host that round-trip alone is a measurable slice of a small check).
@@ -3499,7 +2236,7 @@ impl LazyPool<'_, '_> {
         }
     }
 
-    fn expand(&self, frontier: &[usize], store: &dyn StateStore) -> Vec<ExpandedChunk> {
+    fn expand(&self, frontier: &[usize], store: &ShardedStore) -> Vec<ExpandedChunk> {
         self.ensure_spawned();
         self.shared.expand(frontier, store)
     }
@@ -3509,7 +2246,7 @@ impl LazyPool<'_, '_> {
         self.shared.submit_and_wait(jobs)
     }
 
-    fn check(&self, ids: &[usize], store: &dyn StateStore) -> Vec<(usize, usize, String)> {
+    fn check(&self, ids: &[usize], store: &ShardedStore) -> Vec<(usize, usize, String)> {
         self.ensure_spawned();
         self.shared.check(ids, store)
     }
@@ -3517,10 +2254,9 @@ impl LazyPool<'_, '_> {
 
 /// Full resident footprint of the search, the quantity
 /// [`CheckOptions::mem_budget`] bounds, per structure: the store's
-/// `(arena, index)` bytes ([`arena_bytes`] or
-/// [`ShardedStore::heap_bytes`]), the parent links, the successor counts,
-/// and the frontier queues (`queue_slots` = total `usize` slots across
-/// them).
+/// `(arena, index)` bytes ([`ShardedStore::heap_bytes`]), the parent
+/// links, the successor counts, and the frontier queues (`queue_slots` =
+/// total `usize` slots across them).
 fn search_footprint(
     (arena, index): (usize, usize),
     parents_cap: usize,
@@ -3536,71 +2272,38 @@ fn search_footprint(
     }
 }
 
-/// The sequential driver's `(arena, index)` store bytes.
-fn arena_bytes(arena: &StateArena, index: &FpIndex) -> (usize, usize) {
-    (arena.approx_heap_bytes(), index.approx_heap_bytes())
-}
-
 // ---------------------------------------------------------------------
 // The sharded visited set.
 // ---------------------------------------------------------------------
 
-/// Read access to stored states by global (discovery-order) id —
-/// implemented by the sequential driver's single [`StateArena`] and the
-/// sharded driver's [`ShardedStore`], so trace rebuilding, quarantines,
-/// property checks, and the pool's chunk protocol are driver-agnostic.
-trait StateStore {
-    /// Append state `id`'s **full encoding** to `out` — materialized
-    /// from its delta chain / spilled extent when the store compresses,
-    /// byte-identical to what was originally stored.
-    fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>);
-    /// Append every state's full encoding to `out` in global id order,
-    /// pushing each one's end offset in `out` onto `ends` — one
-    /// sequential pass over the store (each sealed extent read once,
-    /// each delta decoded once), for checkpoints and end-of-run passes.
-    fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>);
-    fn decode(&self, id: usize) -> SystemState;
-    fn decode_into(&self, id: usize, out: &mut SystemState);
-}
-
-impl StateStore for StateArena {
-    fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
-        StateArena::append_full_bytes(self, id, out);
-    }
-    fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>) {
-        StateArena::append_all_full_bytes(self, out, ends);
-    }
-    fn decode(&self, id: usize) -> SystemState {
-        StateArena::decode(self, id)
-    }
-    fn decode_into(&self, id: usize, out: &mut SystemState) {
-        StateArena::decode_into(self, id, out);
-    }
-}
-
-/// One shard of the sharded driver's visited set: a private dedup index
-/// over a private packed-state segment. The pair moves wholesale through
-/// the job queue, so the worker draining a shard's inbox mutates both as
-/// the sole owner — no shared visited set, no lock, no atomics.
+/// One shard of the visited set: a private dedup index over a private
+/// packed-state segment. The pair moves wholesale through the job queue,
+/// so the worker draining a shard's inbox mutates both as the sole owner
+/// — no shared visited set, no lock, no atomics.
 struct ShardState {
     index: FpIndex,
     segment: StateArena,
 }
 
-/// The sharded driver's visited set: S shard-owned (index, segment)
-/// pairs plus a global directory mapping discovery-order global ids to
-/// `(shard, slot)` — the bookkeeping that makes shard-local storage look
-/// like the sequential driver's single arena (and merge back into one,
+/// The search's visited set: S shard-owned (index, segment) pairs plus,
+/// with more than one shard, a global directory mapping discovery-order
+/// global ids to `(shard, slot)` — the bookkeeping that makes shard-local
+/// storage look like one arena (and merge back into one,
 /// byte-identically, for checkpoints and the returned [`Exploration`]).
+/// With one shard there is no directory: global ids are slots of the
+/// lone segment, which *is* the returned arena.
 ///
 /// Shards are held in `Option`s so [`Self::take_shard`] can move a
 /// shard's state into a [`Job::Dedup`] and [`Self::put_shard`] can slot
 /// it back when the result returns; outside a dedup barrier every shard
-/// is home.
+/// is home. The state count is kept apart from the shards for that
+/// reason.
 struct ShardedStore {
     codec: StateCodec,
     shards: Vec<Option<ShardState>>,
+    /// `(shard, slot)` per global id; empty with one shard.
     dir: Vec<(u32, u32)>,
+    len: usize,
 }
 
 impl ShardedStore {
@@ -3613,12 +2316,67 @@ impl ShardedStore {
                 })
                 .collect(),
             dir: Vec::new(),
+            len: 0,
         }
     }
 
-    /// Total stored states (across all shards).
+    /// The store a resumed run continues from: a checkpoint's merged
+    /// `arena` (with each state's fingerprint in `fps`) scattered back
+    /// into per-shard segments. The routing function is a pure function
+    /// of the fingerprint, and replaying inserts in global discovery
+    /// order reproduces each shard's insertion order — so the
+    /// reconstituted per-shard layout is exactly what a run that was
+    /// never interrupted would hold (for any writing shard count: the
+    /// merged layout is shard-count-free). One shard takes the arena
+    /// over as its segment, with an index sized once and never grown:
+    /// dedup answers depend only on which states are indexed, not on
+    /// where the table places them.
+    fn restore(codec: StateCodec, shards: usize, arena: StateArena, fps: &[u64]) -> Self {
+        let mut store = ShardedStore::new(codec, shards);
+        if store.shards.len() == 1 {
+            let mut index = FpIndex::with_capacity(arena.len());
+            for (gid, &fp) in fps.iter().enumerate() {
+                let slot = u32::try_from(gid).expect("state count fits u32");
+                index.insert(fp, slot, |id| arena.bytes_of(id as usize) == arena.bytes_of(gid));
+            }
+            store.len = arena.len();
+            store.shards[0] = Some(ShardState { index, segment: arena });
+            return store;
+        }
+        for (gid, &fp) in fps.iter().enumerate() {
+            let s = shard_of(fp, shards);
+            let ShardState { index, segment } = store.shard_mut(s);
+            let slot = u32::try_from(segment.len()).expect("state count fits u32");
+            index.insert(fp, slot, |id| segment.bytes_of(id as usize) == arena.bytes_of(gid));
+            segment.push_encoded(arena.bytes_of(gid));
+            store.commit(s, slot);
+        }
+        store
+    }
+
+    /// Total stored states (across all shards, home or not).
     fn len(&self) -> usize {
-        self.dir.len()
+        self.len
+    }
+
+    /// Where global id `gid` lives: `(shard, slot)`.
+    fn locate(&self, gid: usize) -> (usize, u32) {
+        if self.shards.len() == 1 {
+            (0, u32::try_from(gid).expect("state count fits u32"))
+        } else {
+            let (s, slot) = self.dir[gid];
+            (s as usize, slot)
+        }
+    }
+
+    /// Record the state just appended at `slot` of shard `s` under the
+    /// next global id, and return that id.
+    fn commit(&mut self, s: usize, slot: u32) -> usize {
+        if self.shards.len() > 1 {
+            self.dir.push((u32::try_from(s).expect("shard fits u32"), slot));
+        }
+        self.len += 1;
+        self.len - 1
     }
 
     fn shard(&self, s: usize) -> &ShardState {
@@ -3679,12 +2437,10 @@ impl ShardedStore {
             .map(|s| s.as_ref().map_or(0, |s| s.segment.len()))
             .collect();
         for &gid in frontier {
-            let (s, slot) = self.dir[gid];
-            let seg = &self.shards[s as usize].as_ref().expect("shard present").segment;
+            let (s, slot) = self.locate(gid);
             // Seal below the frontier's keyframe-chain roots, not its
             // raw slots, so expanding the frontier never faults.
-            let floor = &mut floors[s as usize];
-            *floor = (*floor).min(seg.decode_floor(slot as usize));
+            floors[s] = floors[s].min(self.shard(s).segment.decode_floor(slot as usize));
         }
         for (s, floor) in floors.iter().enumerate() {
             if let Some(shard) = &mut self.shards[s] {
@@ -3712,29 +2468,45 @@ impl ShardedStore {
         }
     }
 
-    /// Merge the shard segments into one plain arena in global
-    /// discovery order — the sequential driver's exact byte layout, so
-    /// the returned [`Exploration`] is shard-count-free. Built from one
-    /// [`StateStore::append_all_full_bytes`] pass.
-    fn merged(&self) -> StateArena {
+    /// The visited set as one arena in global discovery order, for the
+    /// returned [`Exploration`]. One shard hands its segment over as it
+    /// stands (still delta-encoded and spilled, if it was); more are
+    /// merged into one plain arena from one
+    /// [`Self::append_all_full_bytes`] pass — the same state sequence,
+    /// so the result is shard-count-free.
+    fn into_arena(mut self) -> StateArena {
+        if self.shards.len() == 1 {
+            return self.take_shard(0).segment;
+        }
         let (mut payload, mut ends) = (Vec::new(), Vec::new());
         self.append_all_full_bytes(&mut payload, &mut ends);
         StateArena::from_full_bytes(self.codec, payload, ends)
     }
-}
 
-impl StateStore for ShardedStore {
+    /// Append state `id`'s **full encoding** to `out` — materialized
+    /// from its delta chain / spilled extent when the store compresses,
+    /// byte-identical to what was originally stored.
     fn append_full_bytes(&self, id: usize, out: &mut Vec<u8>) {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.append_full_bytes(slot as usize, out);
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.append_full_bytes(slot as usize, out);
     }
-    /// Walks `dir` in global order with one [`EntryCursor`] per shard
-    /// (shards fill in global order, so each cursor moves forward and
-    /// reads each of its extents once). A delta's base is a slot of the
-    /// same shard; a per-shard slot→gid table — kept only for shards
-    /// holding deltas — locates its bytes in `out`, so no per-shard copy
-    /// of the payload is made.
+
+    /// Append every state's full encoding to `out` in global id order,
+    /// pushing each one's end offset in `out` onto `ends` — one
+    /// sequential pass over the store (each sealed extent read once,
+    /// each delta decoded once), for checkpoints and end-of-run passes.
+    ///
+    /// Sharded, this walks `dir` in global order with one
+    /// [`EntryCursor`] per shard (shards fill in global order, so each
+    /// cursor moves forward and reads each of its extents once). A
+    /// delta's base is a slot of the same shard; a per-shard slot→gid
+    /// table — kept only for shards holding deltas — locates its bytes
+    /// in `out`, so no per-shard copy of the payload is made.
     fn append_all_full_bytes(&self, out: &mut Vec<u8>, ends: &mut Vec<usize>) {
+        if self.shards.len() == 1 {
+            self.shard(0).segment.append_all_full_bytes(out, ends);
+            return;
+        }
         let segments: Vec<&StateArena> =
             (0..self.shards.len()).map(|s| &self.shard(s).segment).collect();
         out.reserve_exact(segments.iter().map(|seg| seg.full_payload_bytes()).sum());
@@ -3760,19 +2532,21 @@ impl StateStore for ShardedStore {
             ends.push(out.len());
         }
     }
+
     fn decode(&self, id: usize) -> SystemState {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.decode(slot as usize)
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.decode(slot as usize)
     }
+
     fn decode_into(&self, id: usize, out: &mut SystemState) {
-        let (s, slot) = self.dir[id];
-        self.shard(s as usize).segment.decode_into(slot as usize, out);
+        let (s, slot) = self.locate(id);
+        self.shard(s).segment.decode_into(slot as usize, out);
     }
 }
 
 /// A successor in flight to its owning shard: the global sequence number
-/// (frontier order × successor order — the sequential driver's merge
-/// order), the discovering edge, and the end offset of its packed
+/// (frontier order × successor order — the fused pass's merge order),
+/// the discovering edge, and the end offset of its packed
 /// (canonical) bytes in the carrying [`Inbox`]'s buffer, plus their
 /// fingerprint.
 struct RoutedMsg {
@@ -3864,30 +2638,16 @@ fn emit_succ(
 }
 
 /// Expand one frontier state into `chunk` — the single expansion body
-/// shared by the driver's inline path and the pool workers (same
+/// shared by the fused inline pass and the pool workers (same
 /// supervision, same reduction path, same output layout).
 ///
 /// `decode` materializes the parent into `cur` and runs *inside* the
 /// supervision boundary: a panic anywhere in decode, prune, reduction,
 /// rule firing, encoding, or canonicalization poisons this one parent.
-/// On poison, every partially emitted successor is rolled back (stolen
-/// decodes recycled to `spare`), so a quarantined state contributes
-/// exactly zero successors, and the caller must re-blank the scratch
-/// states (the panic may have left them torn).
-///
-/// While the chunk holds fewer than `steal_cap` items, each successor's
-/// decoded form is *stolen* at generation time — swapped out of the
-/// firing scratch into `chunk.decoded` (a spare slot, or a fresh blank,
-/// takes its place; rule fire functions rebuild their output from the
-/// parent, so the swapped-in contents are irrelevant). Stealing is
-/// disabled under reduction: the stored bytes are canonicalized, so the
-/// raw fired successor is not the state a ring hit must reproduce.
-// `Vec<Box<_>>` is deliberate: spare slots shuttle between here, the
-// pending list, and the ring, and boxing keeps every one of those
-// hand-offs pointer-sized (the unboxed version moved the half-KiB
-// `SystemState` struct four times per stolen successor, which ate the
-// decode saving the ring exists to capture).
-#[allow(clippy::too_many_arguments, clippy::vec_box)]
+/// On poison, every partially emitted successor is rolled back, so a
+/// quarantined state contributes exactly zero successors, and the caller
+/// must re-blank the scratch states (the panic may have left them torn).
+#[allow(clippy::too_many_arguments)]
 fn expand_one(
     rules: &Ruleset,
     codec: StateCodec,
@@ -3895,45 +2655,27 @@ fn expand_one(
     reducer: Option<&dyn Reducer>,
     peer_variants: bool,
     parent: usize,
-    decode: impl FnOnce(&mut Box<SystemState>),
-    cur: &mut Box<SystemState>,
+    decode: impl FnOnce(&mut SystemState),
+    cur: &mut SystemState,
     fire_scratch: &mut SystemState,
     enc_scratch: &mut Vec<u8>,
     canon_scratch: &mut Vec<u8>,
-    steal_cap: usize,
-    spare: &mut Vec<Box<SystemState>>,
     chunk: &mut ExpandedChunk,
 ) -> Result<(), String> {
     let items_mark = chunk.items.len();
     let buf_mark = chunk.buf.len();
-    let decoded_mark = chunk.decoded.len();
-    let steal_cap = if reducer.is_some() { 0 } else { steal_cap };
     let expanded = catch_unwind(AssertUnwindSafe(|| {
         decode(cur);
-        if prune.is_some_and(|prune| prune(&*cur)) {
+        if prune.is_some_and(|prune| prune(cur)) {
             return;
         }
+        let mut emit = |rule: RuleId, succ: &SystemState| {
+            emit_succ(chunk, codec, reducer, enc_scratch, canon_scratch, rule, succ);
+        };
         match reducer.and_then(|r| r.ample_step(rules, cur, fire_scratch)) {
-            Some(rule) => {
-                emit_succ(chunk, codec, reducer, enc_scratch, canon_scratch, rule, fire_scratch);
-            }
-            None if peer_variants => {
-                rules.for_each_enabled_variants(cur, fire_scratch, |rule, succ| {
-                    emit_succ(chunk, codec, reducer, enc_scratch, canon_scratch, rule, succ);
-                });
-            }
-            None => rules.for_each_enabled_mut(cur, fire_scratch, |rule, succ| {
-                emit_succ(chunk, codec, reducer, enc_scratch, canon_scratch, rule, succ);
-                // Steals form a strict prefix of `items`: once one is
-                // skipped, `decoded` falls behind `items` and the gate
-                // stays shut for the rest of the chunk.
-                let i = chunk.items.len() - 1;
-                if i < steal_cap && chunk.decoded.len() == i {
-                    let mut slot = spare.pop().unwrap_or_else(|| Box::new(codec.blank()));
-                    std::mem::swap(&mut *slot, succ);
-                    chunk.decoded.push(Some(slot));
-                }
-            }),
+            Some(rule) => emit(rule, fire_scratch),
+            None if peer_variants => rules.for_each_enabled_variants(cur, fire_scratch, emit),
+            None => rules.for_each_enabled(cur, fire_scratch, emit),
         }
     }));
     match expanded {
@@ -3944,7 +2686,6 @@ fn expand_one(
             Ok(())
         }
         Err(payload) => {
-            spare.extend(chunk.decoded.drain(decoded_mark..).flatten());
             chunk.items.truncate(items_mark);
             chunk.buf.truncate(buf_mark);
             let message = panic_message(payload.as_ref());
@@ -3969,8 +2710,8 @@ fn sharded_spill_counts(store: &ShardedStore) -> (u64, u64) {
 /// Σ orbit sizes over every stored representative — the exact store
 /// size of the unreduced equivariant exploration under the
 /// device-symmetry engine alone — read through one
-/// [`StateStore::append_all_full_bytes`] pass.
-fn orbit_states(store: &impl StateStore, reducer: &dyn Reducer) -> u64 {
+/// [`ShardedStore::append_all_full_bytes`] pass.
+fn orbit_states(store: &ShardedStore, reducer: &dyn Reducer) -> u64 {
     let (mut payload, mut ends) = (Vec::new(), Vec::new());
     store.append_all_full_bytes(&mut payload, &mut ends);
     let mut start = 0;
@@ -4007,7 +2748,7 @@ fn write_checkpoint(
     resumable: bool,
     depth: usize,
     elapsed: Duration,
-    store: &impl StateStore,
+    store: &ShardedStore,
     parents: &[ParentLink],
     succ_counts: &[u32],
     frontier: &[usize],
@@ -4107,7 +2848,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Build the quarantine record for a poison state: its packed bytes plus
 /// a decoded dump (itself guarded — if decoding is what panicked, the
 /// dump degrades to a placeholder instead of re-panicking).
-fn quarantine_of(state: usize, store: &impl StateStore, message: String) -> Quarantine {
+fn quarantine_of(state: usize, store: &ShardedStore, message: String) -> Quarantine {
     let dump = catch_unwind(AssertUnwindSafe(|| store.decode(state).to_string()))
         .unwrap_or_else(|_| "<undecodable>".to_string());
     let mut packed = Vec::new();
@@ -4117,7 +2858,7 @@ fn quarantine_of(state: usize, store: &impl StateStore, message: String) -> Quar
 
 /// Rebuild the trace from the initial state to state `id` via parent
 /// links, decoding each step's state from the packed store.
-fn rebuild_trace(id: usize, store: &impl StateStore, parents: &[ParentLink]) -> Trace {
+fn rebuild_trace(id: usize, store: &ShardedStore, parents: &[ParentLink]) -> Trace {
     let mut rev = Vec::new();
     let mut cur = id;
     while let Some((parent, rule)) = parents[cur] {
@@ -4204,7 +2945,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_parts_sum_to_memory_bytes_in_both_drivers() {
+    fn footprint_parts_sum_to_memory_bytes_at_one_and_two_shards() {
         let init = SystemState::initial(programs::store(42), programs::load());
         for shards in [None, Some(2)] {
             let mc = ModelChecker::with_options(
@@ -4243,7 +2984,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_exploration_matches_sequential() {
+    fn four_threads_match_one_thread() {
         let init = SystemState::initial(programs::store(1), programs::store(2));
         let seq = checker(ProtocolConfig::strict()).explore(&init, &[]);
         let opts = CheckOptions { threads: 4, ..CheckOptions::default() };

@@ -14,14 +14,12 @@
 //! - deadlock (non-quiescent terminal state) detection;
 //! - optional pruning predicates, reproducing the paper's guided-search
 //!   workflow;
-//! - shard-owned parallel exploration ([`CheckOptions::shards`]): the
-//!   fingerprint space is partitioned across workers, each owning a
-//!   private dedup index and arena segment, with successors routed as
-//!   packed-bytes messages by [`cxl_core::shard_of`] — no shared
-//!   visited set, bit-identical results to the sequential driver;
-//! - a decoded-frontier ring ([`CheckOptions::frontier_ring`]) that
-//!   keeps the current BFS level decoded, trading bounded memory for
-//!   skipped per-expansion decodes;
+//! - one exploration driver with shard-owned storage
+//!   ([`CheckOptions::shards`]): the fingerprint space is partitioned
+//!   across shards, each owning a private dedup index and arena segment,
+//!   with successors routed as packed-bytes messages by
+//!   [`cxl_core::shard_of`] — no shared visited set, and bit-identical
+//!   results at every shard and thread count;
 //! - a resilience layer for long campaigns: periodic atomic
 //!   [`Checkpoint`]s with exact resume ([`ModelChecker::explore_resumed`]),
 //!   panic-isolated workers that quarantine poison states instead of
@@ -69,8 +67,8 @@ mod property;
 mod report;
 
 pub use checker::{
-    CheckOptions, Exploration, ModelChecker, ParentLink, Prune, DEFAULT_FRONTIER_RING,
-    DEFAULT_MEM_BUDGET, DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
+    CheckOptions, Exploration, ModelChecker, ParentLink, Prune, DEFAULT_MEM_BUDGET,
+    DEFAULT_SPILL_BUDGET, NOT_EXPANDED,
 };
 pub use checkpoint::{
     checkpoint_path, options_fingerprint, Checkpoint, CheckpointError, CheckpointPolicy,

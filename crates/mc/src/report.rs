@@ -252,7 +252,7 @@ impl ReductionSummary {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Footprint {
     /// The packed state store: resident payload plus the offset and
-    /// delta-base tables and spill bookkeeping (under the sharded driver,
+    /// delta-base tables and spill bookkeeping (with more than one shard,
     /// every shard's segment plus the global id directory).
     pub arena: usize,
     /// The dedup fingerprint index (every shard's, when sharded).
@@ -329,12 +329,11 @@ pub struct Report {
     /// not raw states, and violation traces are in canonical coordinates
     /// (de-permute via `cxl-litmus`'s replay module).
     pub reduction: Option<ReductionSummary>,
-    /// Number of dedup/store shards the driver ran with: 1 for the
-    /// sequential driver, the effective shard count for the sharded
-    /// driver ([`crate::CheckOptions::shards`]).
+    /// Number of dedup/store shards the search ran with (the effective
+    /// [`crate::CheckOptions::shards`]).
     pub shards: usize,
     /// Successor messages routed to owner shards by fingerprint — one
-    /// per examined transition under the sharded driver, 0 otherwise.
+    /// per examined transition with more than one shard, 0 with one.
     pub routed_messages: u64,
     /// Shard load imbalance: `(max − mean) / mean × 100` over per-shard
     /// stored-state counts. 0 means perfectly even ownership; the routing

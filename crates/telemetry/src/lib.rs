@@ -15,7 +15,7 @@
 //!    totals, per-shard segment lengths, reduction-engine counters), so
 //!    the per-state merge/expand paths carry no recorder code, no
 //!    atomics, and no histogram updates — the same single-owner
-//!    discipline the sharded driver uses for dedup.
+//!    discipline the checker's shards use for dedup.
 //! 2. **[`FlightRing`]** — a bounded ring of the last K structured
 //!    [`FlightEvent`]s (level commits, degradation rungs, checkpoint
 //!    writes, spill seals/faults, quarantines, violations). The checker
@@ -152,8 +152,8 @@ impl PhaseClock {
     }
 }
 
-/// Per-shard observations gathered at a level's commit barrier
-/// (sharded driver only).
+/// Per-shard observations gathered at a level's commit barrier (runs
+/// with more than one shard only).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardLevelStats {
     /// Successor messages routed into each shard's inbox this level —
@@ -216,7 +216,7 @@ pub struct LevelRecord {
     pub quarantines: usize,
     /// Per-engine reduction work this level (when a reducer is installed).
     pub reduction: Option<ReductionDelta>,
-    /// Per-shard stats (when the sharded driver is running).
+    /// Per-shard stats (when the run has more than one shard).
     pub shards: Option<ShardLevelStats>,
 }
 

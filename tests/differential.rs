@@ -7,7 +7,7 @@
 //! original checker. These tests hold that claim over the full
 //! `default_program_grid` (the same grid the obligation universe is built
 //! from) under strict, full, and relaxed configurations, for all three
-//! pipelines: naive, optimized-sequential, and optimized-parallel.
+//! pipelines: naive, optimized single-threaded, and optimized parallel.
 
 use cxl_repro::core::instr::Instruction;
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};

@@ -1,26 +1,28 @@
-//! Sharded-driver determinism: the shard-owned, fingerprint-routed
-//! exploration must be **bit-identical** to the sequential driver.
+//! Sharding determinism: the shard-owned, fingerprint-routed
+//! exploration must be **bit-identical** whatever the shard and thread
+//! counts.
 //!
-//! The contract under test (ISSUE 7 acceptance bar): for every
-//! reduction-engine combination, at N ∈ {2, 3} and shard counts
-//! {1, 2, 4}, the sharded driver produces the same verdict, state and
-//! transition counts, per-rule firing counts, successor counts, packed
-//! arena bytes, and counterexample traces as a plain sequential run —
-//! whether the shard jobs run inline (threads = 1) or across the worker
-//! pool (threads = 2), and whether the level merges on the lock-free
-//! fast path or the truncation-exact slow path. On top:
+//! The contract under test: for every reduction-engine combination, at
+//! N ∈ {2, 3} and shard counts {1, 2, 4}, the search produces the same
+//! verdict, state and transition counts, per-rule firing counts,
+//! successor counts, packed arena bytes, and counterexample traces as a
+//! plain single-threaded, single-shard run — whether the shard jobs run
+//! inline (threads = 1) or across the worker pool (threads = 2 or 4),
+//! and whether the level merges on the lock-free fast path or the
+//! truncation-exact slow path. On top:
 //!
 //! - a sharded run interrupted at a BFS level boundary and resumed by a
 //!   *fresh* checker (under the same or a *different* shard count)
 //!   reconstitutes exactly — checkpoints are shard-count-free;
-//! - the sequential driver's decoded-frontier ring is invisible in the
-//!   results at any capacity, including zero.
+//! - a single shard under the worker pool (the dedup job moves the only
+//!   shard out of the store) matches both the single-threaded run and
+//!   the naive oracle, with the plain and the delta+spill store.
 
 use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
 use cxl_repro::mc::{
-    CheckOptions, CheckpointPolicy, Exploration, ModelChecker, Reducer, Reduction,
-    ReductionConfig, SwmrProperty, Trace,
+    CheckOptions, CheckpointPolicy, Exploration, MetricsRecorder, ModelChecker, ProgressMode,
+    Reducer, Reduction, ReductionConfig, SwmrProperty, Trace,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -206,8 +208,8 @@ fn sharded_violation_traces_match_sequential() {
 
 #[test]
 fn sharded_truncation_is_bit_identical() {
-    // A tight max_states forces the slow (serial-merge) path, which must
-    // mirror the sequential driver's truncation semantics exactly —
+    // A tight max_states forces the truncating serial merge, which must
+    // match the single-shard run's truncation semantics exactly —
     // including which states make it into the arena and the transient
     // over-cap property checks.
     let cfg = ProtocolConfig::strict();
@@ -238,11 +240,46 @@ fn sharded_truncation_is_bit_identical() {
 }
 
 #[test]
+fn violation_stop_in_a_truncated_level_matches_across_threads() {
+    // A state cap reached mid-level, then an over-cap successor that
+    // violates: the level stops there. Parents after the stopping one
+    // stay unexpanded on every path — including pooled levels, whose
+    // expansion ran ahead of the merge.
+    let cfg = ProtocolConfig::strict();
+    let n = 3;
+    let init = SystemState::initial_n(
+        n,
+        vec![
+            vec![Instruction::Store(1), Instruction::Load].into(),
+            vec![Instruction::Store(2), Instruction::Load].into(),
+            programs::loads(2),
+        ],
+    );
+    let shallow = cxl_repro::mc::boolean_property("shallow", |s: &SystemState| s.counter < 5);
+    let run = |threads: usize, shards: usize| {
+        let opts =
+            CheckOptions { threads, shards: Some(shards), max_states: 3250, ..CheckOptions::default() };
+        ModelChecker::with_options(Ruleset::with_devices(cfg, n), opts).explore(&init, &[&shallow])
+    };
+    let single = run(1, 1);
+    assert!(single.report.truncated, "the cap must truncate");
+    assert_eq!(single.report.violations.len(), 1, "the over-cap tail must violate");
+    assert!(
+        single.successor_counts.contains(&cxl_repro::mc::NOT_EXPANDED),
+        "the stop must leave frontier states unexpanded"
+    );
+    for (threads, shards) in [(1usize, 2usize), (2, 1), (2, 2), (4, 4)] {
+        let ctx = format!("threads={threads} shards={shards}");
+        assert_identical(&single, &run(threads, shards), &ctx);
+    }
+}
+
+#[test]
 fn sharded_interrupt_then_resume_reconstitutes_exactly() {
     // Interrupt a sharded run at a mid-search level boundary, drop every
     // byte of in-memory state, and resume with a fresh checker — under
-    // the same shard count, a different one, and the plain sequential
-    // driver. All must land on the uninterrupted result: the checkpoint
+    // the same shard count, a different one, and a single shard. All
+    // must land on the uninterrupted result: the checkpoint
     // wire format is the merged (shard-count-free) layout.
     let cfg = ProtocolConfig::strict();
     let init = grid(3);
@@ -291,35 +328,103 @@ fn sharded_interrupt_then_resume_reconstitutes_exactly() {
     }
 }
 
+/// Materialized full encodings of every stored state, in discovery
+/// order — the store-independent view of an arena (a delta+spill
+/// segment and a plain arena hold the same sequence in different
+/// containers).
+fn full_states(exp: &Exploration) -> Vec<Vec<u8>> {
+    (0..exp.arena.len())
+        .map(|id| {
+            let mut bytes = Vec::new();
+            exp.arena.append_full_bytes(id, &mut bytes);
+            bytes
+        })
+        .collect()
+}
+
 #[test]
-fn frontier_ring_is_invisible_in_results() {
-    // The decoded-frontier ring is a pure decode-skipping cache: any
-    // capacity — zero, smaller than a level, larger than every level —
-    // must leave the exploration bit-identical.
+fn one_shard_under_the_pool_matches_one_thread_and_naive() {
+    // [S1,L] x [S2,L] x [L,L]: ~12k states, with levels wide enough
+    // (>= 2048 successors) that dedup runs as a pool job, which moves
+    // the only shard out of the store while the level commits.
     let cfg = ProtocolConfig::strict();
-    for n in [2usize, 3] {
-        let init = grid(n);
-        let no_ring =
-            explore_with(cfg, n, &init, CheckOptions { frontier_ring: 0, ..CheckOptions::default() });
-        for ring in [1usize, 3, 64, 1 << 20] {
-            let ctx = format!("N={n} ring={ring}");
-            let ringed = explore_with(
-                cfg,
-                n,
-                &init,
-                CheckOptions { frontier_ring: ring, ..CheckOptions::default() },
-            );
-            assert_identical(&no_ring, &ringed, &ctx);
-        }
+    let n = 3;
+    let init = SystemState::initial_n(
+        n,
+        vec![
+            vec![Instruction::Store(1), Instruction::Load].into(),
+            vec![Instruction::Store(2), Instruction::Load].into(),
+            programs::loads(2),
+        ],
+    );
+    let rules = || Ruleset::with_devices(cfg, n);
+    let naive = ModelChecker::new(rules()).explore_naive(&init, &[&SwmrProperty]);
+    let single = explore_with(cfg, n, &init, CheckOptions::default());
+    assert_identical(&naive, &single, "threads=1 vs naive");
+
+    // The same widths at two shards route real inboxes — proof that
+    // this grid reaches the pooled dedup path.
+    let dir = scratch("one-shard-pool");
+    let metrics = dir.join("routed.jsonl");
+    let rec = MetricsRecorder::new(ProgressMode::Off, Some(&metrics)).expect("metrics file");
+    let routed = explore_with(
+        cfg,
+        n,
+        &init,
+        CheckOptions {
+            threads: 2,
+            shards: Some(2),
+            telemetry: Some(Arc::new(rec)),
+            ..CheckOptions::default()
+        },
+    );
+    assert_identical(&single, &routed, "threads=2 shards=2");
+    let jsonl = std::fs::read_to_string(&metrics).expect("read metrics");
+    let routed_level =
+        |l: &str| l.contains("\"queue_depths\":[") && !l.contains("\"queue_depths\":[]");
+    assert!(jsonl.lines().any(routed_level), "no level of this grid ran the pooled dedup path");
+
+    for threads in [2usize, 4] {
+        let ctx = format!("threads={threads} shards=1");
+        let pooled = explore_with(
+            cfg,
+            n,
+            &init,
+            CheckOptions { threads, shards: Some(1), ..CheckOptions::default() },
+        );
+        assert_eq!(pooled.report.shards, 1, "{ctx}: shard count reported");
+        assert_eq!(pooled.report.routed_messages, 0, "{ctx}: one shard routes nothing");
+        assert_identical(&single, &pooled, &ctx);
+        assert_identical(&naive, &pooled, &format!("{ctx} vs naive"));
+
+        let spill = scratch(&format!("one-shard-spill-{threads}"));
+        let ctx = format!("{ctx} delta+spill");
+        let compressed = explore_with(
+            cfg,
+            n,
+            &init,
+            CheckOptions {
+                threads,
+                shards: Some(1),
+                delta_keyframe: 8,
+                spill_dir: Some(spill.clone()),
+                spill_budget: Some(0),
+                ..CheckOptions::default()
+            },
+        );
+        assert!(compressed.report.delta_entries > 0, "{ctx}: delta engaged");
+        assert!(compressed.report.spilled_extents > 0, "{ctx}: spilling engaged");
+        let (s, c) = (&single.report, &compressed.report);
+        assert_eq!(s.states, c.states, "{ctx}: state count");
+        assert_eq!(s.transitions, c.transitions, "{ctx}: transition count");
+        assert_eq!(s.depth, c.depth, "{ctx}: depth");
+        assert_eq!(s.terminal_states, c.terminal_states, "{ctx}: terminals");
+        assert_eq!(s.rule_firings, c.rule_firings, "{ctx}: firing counts");
+        assert_eq!(single.successor_counts, compressed.successor_counts, "{ctx}: succ counts");
+        assert!(full_states(&naive) == full_states(&compressed), "{ctx}: states vs naive");
+        let _ = std::fs::remove_dir_all(&spill);
     }
-    // And it composes with a violating run's early stop.
-    let cfg = ProtocolConfig::relaxed(Relaxation::SnoopPushesGo);
-    let init = SystemState::initial(programs::store(42), programs::load());
-    let no_ring =
-        explore_with(cfg, 2, &init, CheckOptions { frontier_ring: 0, ..CheckOptions::default() });
-    let ringed =
-        explore_with(cfg, 2, &init, CheckOptions { frontier_ring: 2, ..CheckOptions::default() });
-    assert_identical(&no_ring, &ringed, "violating run, ring=2");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! a deliberately small `mem_budget` completes un-truncated with
 //! delta+spill armed, with verdict, state set, and traces bit-identical
 //! to the unrestricted run; checkpoint→resume works across the reduction
-//! matrix with a spill dir active; and the sharded driver's delta store
-//! merges to the sequential driver's exact arena.
+//! matrix with a spill dir active; and a multi-shard delta store merges
+//! to the single-shard run's exact arena.
 
 use cxl_repro::core::instr::{programs, Instruction};
 use cxl_repro::core::{ProtocolConfig, Relaxation, Ruleset, SystemState};
@@ -226,7 +226,7 @@ fn sharded_delta_spill_merges_to_the_sequential_arena() {
         let ctx = format!("shards={shards}");
         assert!(sharded.report.delta_entries > 0, "{ctx}: delta engaged across shards");
         assert!(sharded.report.spilled_extents > 0, "{ctx}: spilling engaged across shards");
-        // The merged arena materializes to the sequential driver's
+        // The merged arena materializes to the single-shard run's
         // exact byte layout, so plain arena equality applies.
         assert_eq!(baseline.arena, sharded.arena, "{ctx}: merged arena");
         assert_same_results(&baseline, &sharded, &ctx);
@@ -306,7 +306,7 @@ fn checkpoint_resume_with_spill_matches_across_reduction_matrix() {
 
 #[test]
 fn per_level_checkpoints_read_each_sealed_extent_once() {
-    // The sharded driver on the N=4 grid with keyframe-16 deltas, a zero
+    // Two threads (two shards) on the N=4 grid with keyframe-16 deltas, a zero
     // spill watermark and a checkpoint at every level: delta chains then
     // link one sealed extent per BFS level. Each checkpoint materializes
     // the whole store in one sequential pass, so the run may read at

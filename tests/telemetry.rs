@@ -366,3 +366,40 @@ fn interrupted_plus_resumed_metrics_sum_to_uninterrupted_totals() {
     assert_eq!(d2, df, "second session reaches the full depth");
     assert_eq!(sf + 1, baseline.report.states as u64, "full-run sanity");
 }
+
+/// One shard routes nothing: a single-threaded run reports zero routed
+/// messages and its JSONL level records carry no `shards` block, while
+/// a three-shard run on the same grid routes every transition and
+/// reports per-shard stats on every level.
+#[test]
+fn one_shard_reports_no_routing_and_no_shard_block() {
+    let cfg = ProtocolConfig::strict();
+    let init = grid(3);
+    let dir = scratch("one-shard");
+    for (shards, routed) in [(None, false), (Some(3), true)] {
+        let ctx = format!("threads=1 shards={shards:?}");
+        let path = dir.join(format!("m-{}.jsonl", shards.unwrap_or(1)));
+        let rec = MetricsRecorder::new(ProgressMode::Off, Some(&path)).unwrap();
+        let report = explore_with(
+            cfg,
+            3,
+            &init,
+            CheckOptions { shards, telemetry: Some(Arc::new(rec)), ..CheckOptions::default() },
+        )
+        .report;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let levels: Vec<&str> = text.lines().filter(|l| is_kind(l, "level")).collect();
+        assert!(!levels.is_empty(), "{ctx}: level records");
+        if routed {
+            assert_eq!(report.shards, 3, "{ctx}");
+            assert_eq!(report.routed_messages, report.transitions as u64, "{ctx}");
+            assert!(levels.iter().all(|l| l.contains("\"shards\":{")), "{ctx}: {text}");
+        } else {
+            assert_eq!(report.shards, 1, "{ctx}");
+            assert_eq!(report.routed_messages, 0, "{ctx}");
+            assert_eq!(report.shard_imbalance_pct, 0.0, "{ctx}");
+            assert!(levels.iter().all(|l| !l.contains("\"shards\"")), "{ctx}: {text}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
